@@ -147,9 +147,12 @@ def cmd_sample(args):
     tri = _load_region(args.region)
     m0 = (_load_covering(tri, args.m0) if args.m0
           else temperley.initial_covering(tri))
-    cfg = sampler.ChainConfig(seed=args.seed, steps=args.steps,
-                              burn_in=args.burn_in,
-                              sample_every=args.every)
+    try:
+        cfg = sampler.ChainConfig(seed=args.seed, steps=args.steps,
+                                  burn_in=args.burn_in,
+                                  sample_every=args.every)
+    except InvalidInputError as exc:
+        _fail(2, type(exc).__name__, str(exc))
     report = sampler.run(m0, cfg, keep_trajectory=bool(args.frames))
     if args.frames:
         os.makedirs(args.frames, exist_ok=True)

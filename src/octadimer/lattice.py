@@ -103,48 +103,19 @@ def is_unit_edge(e: Edge) -> bool:
 
 
 class NormalGraph:
-    """A finite induced subgraph of Gamma, simply connected.
+    """A finite subgraph of Gamma with deterministic iteration order.
 
-    Vertices and edges are exposed as sorted tuples so that iteration
-    order is deterministic everywhere downstream.
-    """
-
-    def __init__(self, vertices, edges, adjacency):
-        self.vertices = vertices
-        self.edges = edges
-        self._adjacency = adjacency
-        self.vertex_set = frozenset(vertices)
-        self.edge_set = frozenset(edges)
-        self.whites = tuple(v for v in vertices if is_white(v))
-        self.blacks = tuple(v for v in vertices if is_black(v))
-        self.white_count = len(self.whites)
-        self.black_count = len(self.blacks)
-
-    def neighbors(self, v: Vertex):
-        return self._adjacency[v]
-
-    def __contains__(self, v):
-        return v in self.vertex_set
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __repr__(self):
-        return "NormalGraph(%d vertices, %d edges)" % (
-            len(self.vertices), len(self.edges))
-
-
-class UnitGraph:
-    """A finite graph of unit edges only (the bipartite graph N).
-
-    Unlike a NormalGraph it is not induced in Gamma: the diagonal edges
-    between its white vertices are deliberately absent.
+    Vertices and edges are kept as sorted tuples so that iteration
+    order is deterministic everywhere downstream.  build_normal_graph
+    makes the induced, simply connected ones; the bipartite graph N of
+    a region keeps only unit edges, leaving out the diagonals between
+    its whites.
     """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(vertices))
         self.edges = tuple(sorted(edges))
-        self.vertex_set = frozenset(vertices)
+        self.vertex_set = frozenset(self.vertices)
         self.edge_set = frozenset(self.edges)
         adjacency = {v: [] for v in self.vertices}
         for u, v in self.edges:
@@ -165,6 +136,10 @@ class UnitGraph:
     def __len__(self):
         return len(self.vertices)
 
+    def __repr__(self):
+        return "NormalGraph(%d vertices, %d edges)" % (
+            len(self.vertices), len(self.edges))
+
 
 def induced_edges(vertex_set) -> list[Edge]:
     out = []
@@ -172,50 +147,41 @@ def induced_edges(vertex_set) -> list[Edge]:
         for w in gamma_neighbors(v):
             if w in vertex_set and v < w:
                 out.append((v, w))
-    return sorted(out)
+    return out
 
 
-def _connected(vertices, adjacency) -> bool:
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
+def reach(starts, neighbors) -> set:
+    """The vertices reachable from starts, starts included.
+
+    neighbors(v) lists the neighbors of v.
+    """
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
+        for w in neighbors(stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(vertices)
+    return seen
 
 
-def _complement_connected(vertex_set) -> bool:
-    # Flood fill the complement inside the bounding box inflated by one.
-    # Any escapable complement vertex reaches the box frame, which is
-    # entirely outside the set and connected through the far exterior.
-    xs = [x for x, _ in vertex_set]
-    ys = [y for _, y in vertex_set]
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
-    inside = lambda p: x0 <= p[0] <= x1 and y0 <= p[1] <= y1
-    seen = set()
-    stack = []
-    for x in range(x0, x1 + 1):
-        for y in (y0, y1):
-            stack.append((x, y))
-    for y in range(y0, y1 + 1):
-        for x in (x0, x1):
-            stack.append((x, y))
-    stack = [p for p in stack if p not in vertex_set]
-    seen.update(stack)
-    while stack:
-        v = stack.pop()
-        for w in gamma_neighbors(v):
-            if inside(w) and w not in vertex_set and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    complement = sum(1 for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
-                     if (x, y) not in vertex_set)
-    return len(seen) == complement
+def _has_hole(points, neighbors, step) -> bool:
+    """Whether the complement of the set points splits.
+
+    The lattice has spacing step and neighbors(v) walks it.  Flood the
+    complement inside the bounding box grown by one step.  Any
+    complement point that can escape reaches the box frame, which lies
+    entirely outside points and is connected through the far exterior.
+    """
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    x0, x1 = min(xs) - step, max(xs) + step
+    y0, y1 = min(ys) - step, max(ys) + step
+    outside = {(x, y) for x in range(x0, x1 + 1, step)
+               for y in range(y0, y1 + 1, step) if (x, y) not in points}
+    frame = [(x, y) for x, y in outside if x in (x0, x1) or y in (y0, y1)]
+    seen = reach(frame, lambda v: [w for w in neighbors(v) if w in outside])
+    return len(seen) != len(outside)
 
 
 def build_normal_graph(vertex_set) -> NormalGraph:
@@ -223,18 +189,12 @@ def build_normal_graph(vertex_set) -> NormalGraph:
     if not vertex_set:
         raise InvalidInputError("empty vertex set")
     vset = frozenset(tuple(v) for v in vertex_set)
-    vertices = tuple(sorted(vset))
-    edges = tuple(induced_edges(vset))
-    adjacency = {v: [] for v in vertices}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-    if not _connected(vset, adjacency):
+    g = NormalGraph(vset, induced_edges(vset))
+    if len(reach(g.vertices[:1], g._adjacency.__getitem__)) != len(g):
         raise NotConnectedError("vertex set is not connected in Gamma")
-    if not _complement_connected(vset):
+    if _has_hole(vset, gamma_neighbors, 1):
         raise ComplementNotConnectedError("vertex set encloses a hole")
-    return NormalGraph(vertices, edges, adjacency)
+    return g
 
 
 def diagonal_edges(g: NormalGraph) -> tuple[Edge, ...]:
@@ -257,8 +217,17 @@ class Region:
 
     @staticmethod
     def of(faces, f_star, v_star) -> "Region":
-        return Region(tuple(sorted(tuple(f) for f in faces)),
-                      tuple(f_star), tuple(v_star))
+        """Normalize the points; each must be a pair of plain ints."""
+        return Region(tuple(sorted(_point(f) for f in faces)),
+                      _point(f_star), _point(v_star))
+
+
+def _point(p) -> Vertex:
+    # bool is an int subclass, and JSON true would otherwise pass as 1
+    if not (isinstance(p, (list, tuple)) and len(p) == 2
+            and type(p[0]) is int and type(p[1]) is int):
+        raise RegionError("point %r is not a pair of integers" % (p,))
+    return (p[0], p[1])
 
 
 def _face_corners(f: Vertex):
@@ -295,47 +264,10 @@ def flanking_blacks(diag: Edge):
     return ((x1, y2), (x2, y1))
 
 
-def _w1_set_connected(points) -> bool:
-    pts = set(points)
-    start = next(iter(pts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        for dx, dy in ((2, 0), (-2, 0), (0, 2), (0, -2)):
-            w = (x + dx, y + dy)
-            if w in pts and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(pts)
-
-
-def _w1_set_has_hole(points) -> bool:
-    # Flood fill of the complement on the spacing-two face lattice.
-    pts = set(points)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    x0, x1 = min(xs) - 2, max(xs) + 2
-    y0, y1 = min(ys) - 2, max(ys) + 2
-    total = 0
-    frame = []
-    for x in range(x0, x1 + 1, 2):
-        for y in range(y0, y1 + 1, 2):
-            if (x, y) not in pts:
-                total += 1
-                if x in (x0, x1) or y in (y0, y1):
-                    frame.append((x, y))
-    seen = set(frame)
-    stack = list(frame)
-    while stack:
-        x, y = stack.pop()
-        for dx, dy in ((2, 0), (-2, 0), (0, 2), (0, -2)):
-            w = (x + dx, y + dy)
-            if (x0 <= w[0] <= x1 and y0 <= w[1] <= y1
-                    and w not in pts and w not in seen):
-                seen.add(w)
-                stack.append(w)
-    return len(seen) != total
+def _face_neighbors(f: Vertex):
+    """The four W1 points one face away from f."""
+    x, y = f
+    return ((x + 2, y), (x - 2, y), (x, y + 2), (x, y - 2))
 
 
 class DualGraph:
@@ -399,23 +331,25 @@ def build_region(region: Region) -> TemperleyTriple:
     for f in faces:
         if classify_vertex(f) != W1:
             raise RegionError("face center %r is not an odd-odd point" % (f,))
-    if not _w1_set_connected(faces):
+    face_set = frozenset(faces)
+    linked = reach(faces[:1], lambda f: [w for w in _face_neighbors(f)
+                                         if w in face_set])
+    if len(linked) != len(faces):
         raise RegionError("faces are not connected")
-    if _w1_set_has_hole(faces):
+    if _has_hole(face_set, _face_neighbors, 2):
         raise RegionError("faces enclose a hole")
 
+    # The local checks on f* come before its hole flood, whose box then
+    # grows by at most one face: a far-away f* would make it huge.
     f_star = tuple(region.f_star)
     if classify_vertex(f_star) != W1:
         raise InvalidFStarError("f* must be an odd-odd point")
-    if f_star in faces:
+    if f_star in face_set:
         raise InvalidFStarError("f* lies inside the region")
-    if _w1_set_has_hole(faces + (f_star,)):
-        raise InvalidFStarError("f* pinches off a hole")
 
     h_vertices = frozenset(c for f in faces for c in _face_corners(f))
     h_edges = frozenset(s for f in faces for s in _face_sides(f))
 
-    face_set = frozenset(faces)
     dual_edges = []
     l_edges = []
     for e in h_edges:
@@ -432,6 +366,8 @@ def build_region(region: Region) -> TemperleyTriple:
         raise InvalidFStarError(
             "f* must touch the region through 1 to 3 dual lattice edges, "
             "got %d" % len(l_edges))
+    if _has_hole(face_set | {f_star}, _face_neighbors, 2):
+        raise InvalidFStarError("f* pinches off a hole")
     h_perp = DualGraph(faces, f_star, dual_edges, l_edges)
 
     v_star = tuple(region.v_star)
@@ -471,7 +407,7 @@ def build_region(region: Region) -> TemperleyTriple:
     n_edges = [e for e in g.edges
                if is_unit_edge(e)
                and e[0] in n_vertices and e[1] in n_vertices]
-    n_graph = UnitGraph(n_vertices, n_edges)
+    n_graph = NormalGraph(n_vertices, n_edges)
     if n_graph.white_count != n_graph.black_count:
         raise RegionError("N is not balanced; region construction is broken")
 

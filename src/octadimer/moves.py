@@ -10,7 +10,7 @@ makes a uniform random choice over sites a symmetric proposal kernel.
 from dataclasses import dataclass
 
 from .covering import DimerCovering, validate_covering
-from .lattice import InvalidInputError, Vertex, edge, is_black, is_white
+from .lattice import InvalidInputError, Vertex, edge, reach
 
 
 class InapplicableMoveError(InvalidInputError):
@@ -46,12 +46,10 @@ class LocalMove:
 
 def unit_squares(g):
     """All unit squares of g as (bl, br, tr, tl) corner tuples."""
-    out = []
-    for x, y in g.vertices:
-        square = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-        if all(v in g.vertex_set for v in square[1:]):
-            out.append(square)
-    return out
+    vs = g.vertex_set
+    return [((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+            for x, y in g.vertices
+            if (x + 1, y) in vs and (x + 1, y + 1) in vs and (x, y + 1) in vs]
 
 
 def t_sites(g):
@@ -77,20 +75,38 @@ def t_sites(g):
     return sorted(out)
 
 
+def proposal_sites(g):
+    """The state-independent proposal list: s-sites then t-sites."""
+    sites = [("s",) + sq for sq in unit_squares(g)]
+    sites += [("t",) + site for site in t_sites(g)]
+    return tuple(sites)
+
+
+def site_move(mate, site):
+    """The move site supports under mate, as (a, b, c, d), or None.
+
+    The move replaces dimers {a,b},{c,d} by {b,c},{d,a}; on the mate
+    map that is ``mate[a], mate[d], mate[b], mate[c] = d, a, c, b``.  A
+    square (bl, br, tr, tl) or t-site (a, b, c, d) has two states that
+    admit a move, and the second state's move is LocalMove.reverse of
+    the first's.
+    """
+    kind, a, b, c, d = site
+    if mate[a] == b and mate[c] == d:
+        return a, b, c, d
+    if mate[b] == c and mate[a] == d:
+        return (b, c, d, a) if kind == "s" else (c, b, a, d)
+    return None
+
+
 def find_moves(m: DimerCovering):
     """All moves applicable to m, sorted by (kind, removed edges)."""
-    g = m.graph
+    mate = m.mate_map()
     out = []
-    for bl, br, tr, tl in unit_squares(g):
-        if m.mate(bl) == br and m.mate(tl) == tr:
-            out.append(LocalMove("s", bl, br, tr, tl))
-        elif m.mate(bl) == tl and m.mate(br) == tr:
-            out.append(LocalMove("s", br, tr, tl, bl))
-    for a, b, c, d in t_sites(g):
-        if m.mate(a) == b and m.mate(c) == d:
-            out.append(LocalMove("t", a, b, c, d))
-        elif m.mate(b) == c and m.mate(a) == d:
-            out.append(LocalMove("t", c, b, a, d))
+    for site in proposal_sites(m.graph):
+        mv = site_move(mate, site)
+        if mv is not None:
+            out.append(LocalMove(site[0], *mv))
     return sorted(out, key=LocalMove.sort_key)
 
 
@@ -107,21 +123,10 @@ def apply_move(m: DimerCovering, mv: LocalMove) -> DimerCovering:
 
 
 def t_class(m: DimerCovering):
-    """The full t-equivalence class of m, via breadth-first search."""
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for mv in find_moves(cur):
-                if mv.kind != "t":
-                    continue
-                other = apply_move(cur, mv)
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return seen
+    """The full t-equivalence class of m."""
+    return reach([m], lambda cur: [apply_move(cur, mv)
+                                   for mv in find_moves(cur)
+                                   if mv.kind == "t"])
 
 
 def t_classes(coverings):
@@ -145,15 +150,6 @@ def move_graph_connected(g, coverings=None) -> bool:
         coverings = enumerate_coverings(g)
     if not coverings:
         return True
-    seen = {coverings[0]}
-    frontier = [coverings[0]]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for mv in find_moves(cur):
-                other = apply_move(cur, mv)
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
+    seen = reach(coverings[:1], lambda cur: [apply_move(cur, mv)
+                                             for mv in find_moves(cur)])
     return len(seen) == len(coverings)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .covering import DimerCovering, validate_covering
 from .lattice import InvalidInputError
-from .moves import t_sites, unit_squares
+from .moves import LocalMove, apply_move, proposal_sites, site_move
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 
@@ -60,42 +60,14 @@ class SampleReport:
                 for e, c in self.impurity_counts.items()}
 
 
-def proposal_sites(g):
-    """The state-independent proposal list: s-sites then t-sites."""
-    sites = [("s",) + sq for sq in unit_squares(g)]
-    sites += [("t",) + site for site in t_sites(g)]
-    return tuple(sites)
-
-
-def _toggle(mate, site):
-    # Apply the site's move to the mate map in place; False = hold.
-    if site[0] == "s":
-        _, bl, br, tr, tl = site
-        if mate[bl] == br and mate[tl] == tr:
-            mate[bl], mate[tl], mate[br], mate[tr] = tl, bl, tr, br
-            return True
-        if mate[bl] == tl and mate[br] == tr:
-            mate[bl], mate[br], mate[tl], mate[tr] = br, bl, tr, tl
-            return True
-        return False
-    _, a, b, c, d = site
-    if mate[a] == b and mate[c] == d:
-        mate[b], mate[c], mate[a], mate[d] = c, b, d, a
-        return True
-    if mate[b] == c and mate[a] == d:
-        mate[a], mate[b], mate[c], mate[d] = b, a, d, c
-        return True
-    return False
-
-
 def step(m: DimerCovering, rng: random.Random) -> DimerCovering:
     """One lazy chain step from m; returns m itself on a hold."""
     sites = proposal_sites(m.graph)
-    mate = dict(m.mate_map())
-    if _toggle(mate, sites[rng.randrange(len(sites))]):
-        dimers = {tuple(sorted((v, w))) for v, w in mate.items()}
-        return validate_covering(m.graph, dimers)
-    return m
+    site = sites[rng.randrange(len(sites))]
+    mv = site_move(m.mate_map(), site)
+    if mv is None:
+        return m
+    return apply_move(m, LocalMove(site[0], *mv))
 
 
 def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
@@ -114,7 +86,10 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
     state_counts = {}
     trajectory = []
     for i in range(cfg.steps):
-        if _toggle(mate, sites[randrange(n_sites)]):
+        mv = site_move(mate, sites[randrange(n_sites)])
+        if mv is not None:
+            a, b, c, d = mv
+            mate[a], mate[d], mate[b], mate[c] = d, a, c, b
             accepted += 1
         if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.sample_every == 0:
             n_samples += 1

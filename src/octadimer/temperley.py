@@ -24,7 +24,7 @@ endpoint x lies in T*.
 """
 
 from .covering import DimerCovering, impurities, validate_covering
-from .lattice import TemperleyTriple, Vertex, edge
+from .lattice import TemperleyTriple, Vertex, edge, reach
 from .moves import t_class, t_classes
 
 
@@ -58,15 +58,11 @@ class RootedTree:
             self.host, self.root, len(self.edges))
 
 
-def _grow(host, root, vertices, adjacency):
-    # BFS orientation; rejects disconnected or cyclic edge sets.
+def _bfs_up(root, adjacency):
+    # Breadth-first parent map, each level visited in sorted order.
     up = {}
     seen = {root}
     queue = [root]
-    n_edges = 0
-    for nbrs in adjacency.values():
-        n_edges += len(nbrs)
-    n_edges //= 2
     while queue:
         nxt = []
         for v in queue:
@@ -76,19 +72,30 @@ def _grow(host, root, vertices, adjacency):
                     up[w] = (v, key)
                     nxt.append(w)
         queue = sorted(nxt)
-    if seen != set(vertices) or n_edges != len(vertices) - 1:
+    return up
+
+
+def _grow(host, root, vertices, adjacency):
+    # Orient toward root; rejects disconnected or cyclic edge sets.
+    t = RootedTree(host, root, _bfs_up(root, adjacency))
+    n_edges = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+    if t.vertices != set(vertices) or n_edges != len(vertices) - 1:
         raise BijectionError("edge set is not a spanning tree of %s" % host)
-    return RootedTree(host, root, up)
+    return t
 
 
-def tree_of_h(tri: TemperleyTriple, h_edges) -> RootedTree:
-    """Orient a spanning edge set of H toward the root v*."""
+def _h_adjacency(tri: TemperleyTriple, h_edges):
     adjacency = {v: [] for v in tri.h_vertices}
     for e in h_edges:
         u, v = e
         adjacency[u].append((v, e))
         adjacency[v].append((u, e))
-    return _grow("H", tri.v_star, tri.h_vertices, adjacency)
+    return adjacency
+
+
+def tree_of_h(tri: TemperleyTriple, h_edges) -> RootedTree:
+    """Orient a spanning edge set of H toward the root v*."""
+    return _grow("H", tri.v_star, tri.h_vertices, _h_adjacency(tri, h_edges))
 
 
 def dual_tree(tri: TemperleyTriple, t: RootedTree) -> RootedTree:
@@ -165,36 +172,13 @@ def impurity_support(tri: TemperleyTriple, t: RootedTree) -> frozenset:
             continue
         adjacency[c].append(p)
         adjacency[p].append(c)
-    seen = {tri.f_star}
-    stack = [tri.f_star]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return frozenset(reach([tri.f_star], adjacency.__getitem__))
 
 
 def initial_covering(tri: TemperleyTriple) -> DimerCovering:
     """A deterministic covering of G: BFS tree of H plus the e*1 impurity."""
-    adjacency = {v: [] for v in tri.h_vertices}
-    for e in tri.h_edges:
-        u, v = e
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-    up = {}
-    seen = {tri.v_star}
-    queue = [tri.v_star]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w, key in sorted(adjacency[v]):
-                if w not in seen:
-                    seen.add(w)
-                    up[w] = (v, key)
-                    nxt.append(w)
-        queue = sorted(nxt)
-    t = RootedTree("H", tri.v_star, up)
+    adjacency = {v: sorted(nbrs)
+                 for v, nbrs in _h_adjacency(tri, tri.h_edges).items()}
+    t = RootedTree("H", tri.v_star, _bfs_up(tri.v_star, adjacency))
     m = temperley_forward(tri, t)
     return validate_covering(tri.g, m.dimers + (tri.e_star1,))

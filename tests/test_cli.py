@@ -1,5 +1,6 @@
 """CLI surface: JSON shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -9,6 +10,9 @@ from octadimer import cli
 
 ELL = {"faces": [[1, 1], [1, 3], [3, 1]], "f_star": [3, 3], "v_star": [2, 4]}
 STRIP1 = {"faces": [[1, 1]], "f_star": [3, 1], "v_star": [2, 2]}
+STRIP2 = {"faces": [[1, 1], [3, 1]], "f_star": [5, 1], "v_star": [4, 2]}
+SAMPLE_ARGS = ("--seed", "3", "--steps", "600", "--burn-in", "100",
+               "--every", "10")
 
 
 @pytest.fixture
@@ -113,8 +117,7 @@ def test_moves_with_covering_file(capsys, tmp_path, strip_file):
 
 
 def test_sample(capsys, strip_file):
-    args = ("sample", strip_file, "--seed", "3", "--steps", "600",
-            "--burn-in", "100", "--every", "10")
+    args = ("sample", strip_file) + SAMPLE_ARGS
     rc, obj = run_cli(capsys, *args)
     assert rc == 0
     assert obj["config"] == {"seed": 3, "steps": 600, "burn_in": 100,
@@ -192,3 +195,37 @@ def test_invalid_covering_exits_2(capsys, tmp_path, strip_file):
     cov.write_text(json.dumps({"dimers": []}))
     code, obj = run_cli_fail(capsys, "render", strip_file, str(cov))
     assert code == 2
+
+
+@pytest.mark.parametrize("region, argv, sha256", [
+    (STRIP2, ("sample", "{}") + SAMPLE_ARGS,
+     "5630020463223658d77c3c57accd32698879b039c548144375aa5629bf7a863e"),
+    (ELL, ("moves", "list", "{}"),
+     "c161532363a45198cad4b362603e8aaf41967626acd6431ffca4b8e491f3ed81"),
+])
+def test_output_bytes_are_pinned(capsys, tmp_path, region, argv, sha256):
+    # recorded before find_moves and the chain shared one move kernel
+    p = tmp_path / "region.json"
+    p.write_text(json.dumps(region))
+    assert cli.main([a.format(p) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("faces", [[[1]], [[True, 1]], [[1.0, 1]]])
+def test_malformed_coordinates_exit_2(capsys, tmp_path, faces):
+    p = tmp_path / "bad_point.json"
+    p.write_text(json.dumps(dict(STRIP1, faces=faces)))
+    code, obj = run_cli_fail(capsys, "prob", str(p))
+    assert code == 2
+    assert obj["error"] == "RegionError"
+
+
+@pytest.mark.parametrize("flags", [("--steps", "-5"),
+                                   ("--steps", "5", "--burn-in", "-1"),
+                                   ("--steps", "5", "--every", "0")])
+def test_invalid_chain_flags_exit_2(capsys, strip_file, flags):
+    code, obj = run_cli_fail(capsys, "sample", strip_file, "--seed", "1",
+                             *flags)
+    assert code == 2
+    assert obj["error"] == "InvalidInputError"

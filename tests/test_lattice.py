@@ -1,5 +1,7 @@
 """Vertex classes, normal-graph validation, and region construction."""
 
+import time
+
 import pytest
 
 from octadimer.lattice import (
@@ -70,6 +72,19 @@ def test_region_of_normalizes():
     assert r.f_star == (3, 3) and r.v_star == (2, 4)
 
 
+@pytest.mark.parametrize("faces, f_star, v_star", [
+    ([[1]], [3, 1], [2, 2]),             # one coordinate
+    ([[1, 1, 1]], [3, 1], [2, 2]),       # three coordinates
+    ([[True, 1]], [3, 1], [2, 2]),       # bool passes for 1 unless refused
+    ([[1.0, 1]], [3, 1], [2, 2]),
+    ([[1, 1]], [3, "1"], [2, 2]),
+    ([[1, 1]], [3, 1], 2),
+])
+def test_region_of_rejects_malformed_points(faces, f_star, v_star):
+    with pytest.raises(RegionError):
+        Region.of(faces, f_star, v_star)
+
+
 def test_strip_and_ell_factories():
     s = strip_region(2)
     assert s.faces == ((1, 1), (3, 1))
@@ -138,6 +153,15 @@ def test_f_star_validation():
     cee = [(1, 1), (3, 1), (5, 1), (5, 3), (5, 5), (3, 5), (1, 5)]
     with pytest.raises(InvalidFStarError):
         build_region(Region.of(cee, (1, 3), (0, 2)))
+
+
+def test_far_f_star_rejected_quickly():
+    # a far-away f* must fail its local checks before any flood fill
+    # spans the gap to the region
+    start = time.perf_counter()
+    with pytest.raises(InvalidFStarError):
+        build_region(Region.of([(1, 1)], (8001, 8001), (8000, 8000)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_v_star_validation():

@@ -49,6 +49,21 @@ def test_step_is_functional(ell):
         m0 = m1
 
 
+@pytest.mark.parametrize("name", ["ell", "strip2"])
+def test_steps_replay_run(request, name):
+    # step and run draw the same site sequence from the same seed
+    tri = request.getfixturevalue(name)
+    m0 = initial_covering(tri)
+    for seed in (0, 7):
+        rng = random.Random(seed)
+        m = m0
+        for _ in range(300):
+            m1 = step(m, rng)
+            assert (m1 is m) == (m1 == m)   # a hold returns m itself
+            m = m1
+        assert m == run(m0, ChainConfig(seed=seed, steps=300)).final
+
+
 def test_deterministic_given_seed(ell):
     m0 = initial_covering(ell)
     cfg = ChainConfig(seed=123, steps=4000, sample_every=7)
