@@ -98,25 +98,23 @@ def cmd_enumerate(args):
 
 def cmd_prob(args):
     tri = _load_region(args.region)
-    sys_ = kirchhoff.build_system(tri.h_perp)
-    det = kirchhoff.tree_count(sys_)
-    p = kirchhoff.solve_p(sys_, tri.f_star)
-    total = kirchhoff.total_coverings(tri)
+    counts = kirchhoff.region_counts(tri)
     edges = []
     for e in tri.g.edges:
         if not is_diagonal_edge(e):
             continue
-        count = kirchhoff.coverings_with_impurity(tri, e)
+        count = counts.at[kirchhoff.impurity_face(tri, e)]
         edges.append({
             "edge": [list(e[0]), list(e[1])],
             "count": str(count),
-            "probability": str(Fraction(count, total)),
+            "probability": str(Fraction(count, counts.total)),
         })
     _emit({
-        "det_A": str(det),
-        "p": {_vertex_key(v): str(x) for v, x in p.items()},
-        "total": str(total),
-        "d_star": sys_.d_star,
+        "det_A": str(counts.det),
+        "p": {_vertex_key(v): str(Fraction(n, counts.det))
+              for v, n in counts.at.items()},
+        "total": str(counts.total),
+        "d_star": tri.h_perp.d_star,
         "edge_probabilities": edges,
     })
 

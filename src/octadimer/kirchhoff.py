@@ -19,8 +19,11 @@ for every face vertex, d* + 1 for f*.  Hence
 
 the sum running over all of V(H-perp) with p_f* = 1.
 
-Everything is computed over exact integers and rationals; determinants
-use fraction-free elimination so the intermediate values stay integral.
+Every count is an integer: one fraction-free elimination of [A | b]
+per region (eliminate) yields |det A| and |det A| p together, and the
+integers |det A| p_v are the per-edge counts themselves.  Fraction
+appears only where a probability is the output, in solve_p and
+impurity_probability.
 """
 
 from dataclasses import dataclass
@@ -70,84 +73,111 @@ def build_system(hp) -> LaplacianSystem:
     return LaplacianSystem(order, tuple(map(tuple, a)), tuple(b), hp.d_star)
 
 
-def _det(rows):
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
+def eliminate(sys: LaplacianSystem):
+    """|det A| and the integers N = |det A| p over sys.order.
+
+    One fraction-free (Bareiss) elimination of the augmented matrix
+    [A | b]: after step k every entry below row k is a (k+1)-minor of
+    the row-permuted matrix, so each division is exact and the last
+    pivot D is +-det A.  The triangular U and column c it leaves still
+    satisfy U p = c, and N_i = |D| p_i is an integer by Cramer's rule,
+    so back-substitution U_ii N_i = |D| c_i - sum_{j>i} U_ij N_j
+    divides exactly too.  Rows whose pivot-column entry is 0 are only
+    rescaled, and only at their nonzero entries.  Raises
+    SingularSystemError when A is singular.
+    """
+    n = len(sys.order)
+    m = [list(row) + [b] for row, b in zip(sys.a, sys.b)]
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                raise SingularSystemError("negative Laplacian is singular")
+            m[k], m[swap] = m[swap], m[k]
+        pivot = m[k][k]
+        top = m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+            row = m[i]
+            f = row[k]
+            if f:
+                row[k + 1:] = [(x * pivot - f * y) // prev
+                               for x, y in zip(row[k + 1:], top)]
+            else:
+                row[k + 1:] = [x * pivot // prev if x else 0
+                               for x in row[k + 1:]]
+        prev = pivot
+    det = abs(prev)
+    counts = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        rest = sum(u * c for u, c in zip(row[i + 1:n], counts[i + 1:]))
+        counts[i] = (det * row[n] - rest) // row[i]
+    return det, tuple(counts)
 
 
 def tree_count(sys: LaplacianSystem) -> int:
     """|det A|: spanning trees of the full dual, so t-classes of G."""
-    return abs(_det(sys.a))
+    try:
+        return eliminate(sys)[0]
+    except SingularSystemError:
+        return 0
 
 
 def solve_p(sys: LaplacianSystem, f_star=None) -> dict:
     """Exact solution of A p = b, with p_f* = 1 adjoined when given."""
-    n = len(sys.order)
-    m = [[Fraction(x) for x in row] + [Fraction(sys.b[i])]
-         for i, row in enumerate(sys.a)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            raise SingularSystemError("negative Laplacian is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        for i in range(n):
-            if i != k and m[i][k]:
-                r = m[i][k] / m[k][k]
-                m[i] = [x - r * y for x, y in zip(m[i], m[k])]
-    p = {v: m[i][n] / m[i][i] for i, v in enumerate(sys.order)}
+    det, counts = eliminate(sys)
+    p = {v: Fraction(c, det) for v, c in zip(sys.order, counts)}
     if f_star is not None:
         p[f_star] = Fraction(1)
     return p
 
 
-def _system(tri: TemperleyTriple):
+@dataclass(frozen=True)
+class RegionCounts:
+    det: int              # |det A|, the number of t-classes
+    at: dict              # dual vertex v -> |det A| p_v, with p_f* = 1
+    total: int            # all coverings of G
+
+
+def region_counts(tri: TemperleyTriple) -> RegionCounts:
+    """Every count of a region, from one elimination.
+
+    at[v] is the number of coverings with the impurity on any one given
+    diagonal edge at v.
+    """
     sys = build_system(tri.h_perp)
-    det = tree_count(sys)
-    p = solve_p(sys, tri.f_star)
-    return sys, det, p
+    det, counts = eliminate(sys)
+    at = dict(zip(sys.order, counts))
+    at[tri.f_star] = det
+    return RegionCounts(det, at,
+                        4 * sum(at.values()) + (sys.d_star - 3) * det)
 
 
-def coverings_with_impurity(tri: TemperleyTriple, e: Edge) -> int:
-    """How many coverings of G put their impurity on the diagonal e."""
+def impurity_face(tri: TemperleyTriple, e: Edge):
+    """The odd-odd end of the diagonal edge e of G, a vertex of H-perp."""
     e = (tuple(e[0]), tuple(e[1]))
     e = e if e[0] <= e[1] else (e[1], e[0])
     if not is_diagonal_edge(e):
         raise NotDiagonalError("%r is not a diagonal edge" % (e,))
     if e not in tri.g.edge_set:
         raise NotInGError("%r is not an edge of G" % (e,))
-    _, det, p = _system(tri)
-    x = e[0] if e[0][0] % 2 else e[1]
-    count = det * p[x]
-    assert count.denominator == 1
-    return int(count)
+    return e[0] if e[0][0] % 2 else e[1]
+
+
+def coverings_with_impurity(tri: TemperleyTriple, e: Edge) -> int:
+    """How many coverings of G put their impurity on the diagonal e."""
+    x = impurity_face(tri, e)
+    return region_counts(tri).at[x]
 
 
 def total_coverings(tri: TemperleyTriple) -> int:
     """|det A| (4 sum p_v + d* - 3) over all dual vertices."""
-    sys, det, p = _system(tri)
-    total = det * (4 * sum(p.values()) + sys.d_star - 3)
-    assert total.denominator == 1
-    return int(total)
+    return region_counts(tri).total
 
 
 def impurity_probability(tri: TemperleyTriple, e: Edge) -> Fraction:
     """Chance that a uniform covering of G has its impurity on e."""
-    return Fraction(coverings_with_impurity(tri, e), total_coverings(tri))
+    x = impurity_face(tri, e)
+    counts = region_counts(tri)
+    return Fraction(counts.at[x], counts.total)

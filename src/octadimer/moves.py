@@ -7,6 +7,7 @@ Both kinds are involutions on a fixed four-vertex site, which is what
 makes a uniform random choice over sites a symmetric proposal kernel.
 """
 
+import weakref
 from dataclasses import dataclass
 
 from .covering import DimerCovering, validate_covering
@@ -75,11 +76,22 @@ def t_sites(g):
     return sorted(out)
 
 
+# graph -> its proposal list; graphs are immutable and hash by identity
+_SITES = weakref.WeakKeyDictionary()
+
+
 def proposal_sites(g):
-    """The state-independent proposal list: s-sites then t-sites."""
-    sites = [("s",) + sq for sq in unit_squares(g)]
-    sites += [("t",) + site for site in t_sites(g)]
-    return tuple(sites)
+    """The state-independent proposal list: s-sites then t-sites.
+
+    Built once per graph object, so the chain's single steps and every
+    find_moves call over a t-class share one list.
+    """
+    sites = _SITES.get(g)
+    if sites is None:
+        sites = [("s",) + sq for sq in unit_squares(g)]
+        sites += [("t",) + site for site in t_sites(g)]
+        sites = _SITES[g] = tuple(sites)
+    return sites
 
 
 def site_move(mate, site):

@@ -11,6 +11,11 @@ from octadimer import cli
 ELL = {"faces": [[1, 1], [1, 3], [3, 1]], "f_star": [3, 3], "v_star": [2, 4]}
 STRIP1 = {"faces": [[1, 1]], "f_star": [3, 1], "v_star": [2, 2]}
 STRIP2 = {"faces": [[1, 1], [3, 1]], "f_star": [5, 1], "v_star": [4, 2]}
+STRIP8 = {"faces": [[2 * j - 1, 1] for j in range(1, 9)],
+          "f_star": [17, 1], "v_star": [16, 2]}
+SQUARE4 = {"faces": [[2 * i + 1, 2 * j + 1] for i in range(4)
+                     for j in range(4)],
+           "f_star": [9, 1], "v_star": [8, 2]}
 SAMPLE_ARGS = ("--seed", "3", "--steps", "600", "--burn-in", "100",
                "--every", "10")
 
@@ -202,9 +207,14 @@ def test_invalid_covering_exits_2(capsys, tmp_path, strip_file):
      "5630020463223658d77c3c57accd32698879b039c548144375aa5629bf7a863e"),
     (ELL, ("moves", "list", "{}"),
      "c161532363a45198cad4b362603e8aaf41967626acd6431ffca4b8e491f3ed81"),
+    (SQUARE4, ("prob", "{}"),
+     "2a8daa7ea5e575981dcdc232089d5d4361cfe312901d5c6da2a1fc833829cf78"),
+    (STRIP8, ("prob", "{}"),
+     "d627b9ae73b81ba7d9d70cc610f0149d381a7109ff4f8332889b4445c0f4dab4"),
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, region, argv, sha256):
-    # recorded before find_moves and the chain shared one move kernel
+    # sample and moves recorded before find_moves and the chain shared one
+    # move kernel, prob before the Fraction solve became integer elimination
     p = tmp_path / "region.json"
     p.write_text(json.dumps(region))
     assert cli.main([a.format(p) for a in argv]) == 0

@@ -3,23 +3,62 @@
 Frozen numbers: the L-region system (det 56, p = 1/7, 2/7, 2/7, total
 328) and the strip determinants 4, 15, 56, 209, 780, 2911, 10864,
 40545, which obey a_n = 4 a_{n-1} - a_{n-2} and the closed form in
-powers of 2 +- sqrt(3).
+powers of 2 +- sqrt(3).  The integer elimination is checked against a
+naive Fraction Gauss-Jordan, kept here as the reference.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from octadimer import cli, kirchhoff
 from octadimer.kirchhoff import (LaplacianSystem, NotDiagonalError,
                                  NotInGError, SingularSystemError,
                                  build_system, coverings_with_impurity,
-                                 impurity_probability, solve_p, total_coverings,
-                                 tree_count)
-from octadimer.lattice import build_region, strip_region
+                                 eliminate, impurity_probability, solve_p,
+                                 total_coverings, tree_count)
+from octadimer.lattice import Region, build_region, ell_region, strip_region
 from octadimer.oracle import impurity_histogram
 
+from conftest import regions
+
 STRIP_DETS = [4, 15, 56, 209, 780, 2911, 10864, 40545]
+
+
+def square_region(k):
+    """k x k faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)."""
+    faces = [(2 * i + 1, 2 * j + 1) for i in range(k) for j in range(k)]
+    return Region.of(faces, (2 * k + 1, 1), (2 * k, 2))
+
+
+def reference_solve(sys):
+    """det A and p by Gauss-Jordan over Fraction, with no integer tricks."""
+    n = len(sys.order)
+    m = [[Fraction(x) for x in row] + [Fraction(sys.b[i])]
+         for i, row in enumerate(sys.a)]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if m[i][k])
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(n):
+            if i != k and m[i][k]:
+                r = m[i][k] / m[k][k]
+                m[i] = [x - r * y for x, y in zip(m[i], m[k])]
+    return det, [m[i][n] / m[i][i] for i in range(n)]
+
+
+def assert_matches_reference(tri):
+    sys = build_system(tri.h_perp)
+    det, counts = eliminate(sys)
+    ref_det, ref_p = reference_solve(sys)
+    assert det == abs(ref_det) > 0
+    assert list(counts) == [det * p for p in ref_p]
 
 
 def test_ell_system(ell):
@@ -71,11 +110,11 @@ def test_edge_arguments_validated(ell):
 
 def test_strip_determinants():
     dets = []
-    for n in range(1, 9):
+    for n in range(1, 41):
         tri = build_region(strip_region(n))
         dets.append(tree_count(build_system(tri.h_perp)))
-    assert dets == STRIP_DETS
-    for n in range(2, 8):
+    assert dets[:8] == STRIP_DETS
+    for n in range(2, 40):
         assert dets[n] == 4 * dets[n - 1] - dets[n - 2]
 
 
@@ -136,3 +175,35 @@ def test_singular_system():
     assert tree_count(sys) == 0
     with pytest.raises(SingularSystemError):
         solve_p(sys)
+
+
+@pytest.mark.parametrize("region", [strip_region(n) for n in range(1, 9)]
+                         + [ell_region(), square_region(4), square_region(8)],
+                         ids=["strip%d" % n for n in range(1, 9)]
+                         + ["ell", "square4", "square8"])
+def test_elimination_matches_reference(region):
+    assert_matches_reference(build_region(region))
+
+
+@settings(max_examples=20, deadline=None)
+@given(regions(max_steps=12))
+def test_elimination_matches_reference_on_polyominoes(tri):
+    assert_matches_reference(tri)
+
+
+def test_one_elimination_per_call(monkeypatch, capsys, tmp_path, ell):
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return eliminate(sys)
+    monkeypatch.setattr(kirchhoff, "eliminate", counted)
+    path = tmp_path / "ell.json"
+    path.write_text(json.dumps({"faces": [[1, 1], [1, 3], [3, 1]],
+                                "f_star": [3, 3], "v_star": [2, 4]}))
+    for call in (lambda: cli.main(["prob", str(path)]),
+                 lambda: total_coverings(ell),
+                 lambda: impurity_probability(ell, ell.e_star1)):
+        calls.clear()
+        call()
+        assert len(calls) == 1

@@ -11,14 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from octadimer.covering import expected_impurity_count, impurities
 from octadimer.kirchhoff import (build_system, coverings_with_impurity,
                                  solve_p, total_coverings, tree_count)
-from octadimer.lattice import (BLACK, W0, W1, InvalidInputError, Region,
-                               build_region, classify_vertex, diagonal_edges,
+from octadimer.lattice import (BLACK, W0, W1, classify_vertex, diagonal_edges,
                                edge, gamma_neighbors, is_black, is_white)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings, impurity_histogram
 from octadimer.sampler import ChainConfig, run
 from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
 from octadimer.temperley import initial_covering
+
+from conftest import regions
 
 points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -47,29 +48,6 @@ def test_edge_canonical(u, v):
     assume(u != v)
     assert edge(u, v) == edge(v, u)
     assert edge(u, v)[0] <= edge(u, v)[1]
-
-
-@st.composite
-def regions(draw):
-    steps = draw(st.lists(st.integers(0, 3), max_size=3))
-    faces = {(1, 1)}
-    cur = (1, 1)
-    for k in steps:
-        dx, dy = ((2, 0), (0, 2), (-2, 0), (0, -2))[k]
-        cur = (cur[0] + dx, cur[1] + dy)
-        faces.add(cur)
-    boundary = sorted({(f[0] + dx, f[1] + dy) for f in faces
-                       for dx, dy in ((2, 0), (0, 2), (-2, 0), (0, -2))}
-                      - faces)
-    shift = draw(st.integers(0, len(boundary) - 1))
-    for f in boundary[shift:] + boundary[:shift]:
-        for c in ((f[0] - 1, f[1] - 1), (f[0] - 1, f[1] + 1),
-                  (f[0] + 1, f[1] - 1), (f[0] + 1, f[1] + 1)):
-            try:
-                return build_region(Region.of(sorted(faces), f, c))
-            except InvalidInputError:
-                continue
-    assume(False)
 
 
 @settings(max_examples=25, deadline=None)
