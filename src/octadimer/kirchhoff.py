@@ -20,12 +20,13 @@ for every face vertex, d* + 1 for f*.  Hence
 the sum running over all of V(H-perp) with p_f* = 1.
 
 Every count is an integer: one fraction-free elimination of [A | b]
-per region (eliminate) yields |det A| and |det A| p together, and the
-integers |det A| p_v are the per-edge counts themselves.  Fraction
-appears only where a probability is the output, in solve_p and
-impurity_probability.
+per region (eliminate, called once by solve_p) yields |det A| and
+|det A| p together, and the integers |det A| p_v are the per-edge
+counts themselves.  Fraction appears only where a probability is read
+out: a Solution's items and impurity_probability.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,7 +84,8 @@ def eliminate(sys: LaplacianSystem):
     satisfy U p = c, and N_i = |D| p_i is an integer by Cramer's rule,
     so back-substitution U_ii N_i = |D| c_i - sum_{j>i} U_ij N_j
     divides exactly too.  Rows whose pivot-column entry is 0 are only
-    rescaled, and only at their nonzero entries.  Raises
+    rescaled, and only at their nonzero entries: most rows of the sparse
+    Laplacian, so this takes about a third off the elimination.  Raises
     SingularSystemError when A is singular.
     """
     n = len(sys.order)
@@ -124,13 +126,34 @@ def tree_count(sys: LaplacianSystem) -> int:
         return 0
 
 
-def solve_p(sys: LaplacianSystem, f_star=None) -> dict:
+class Solution(Mapping):
+    """The exact solution p of A p = b over one common denominator.
+
+    det is |det A| and counts[v] the integer |det A| p_v (Cramer's
+    rule); read as a mapping, a Solution is v -> Fraction p_v.
+    """
+
+    def __init__(self, det: int, counts: dict):
+        self.det = det
+        self.counts = counts
+
+    def __getitem__(self, v) -> Fraction:
+        return Fraction(self.counts[v], self.det)
+
+    def __iter__(self):
+        return iter(self.counts)
+
+    def __len__(self):
+        return len(self.counts)
+
+
+def solve_p(sys: LaplacianSystem, f_star=None) -> Solution:
     """Exact solution of A p = b, with p_f* = 1 adjoined when given."""
     det, counts = eliminate(sys)
-    p = {v: Fraction(c, det) for v, c in zip(sys.order, counts)}
+    counts = dict(zip(sys.order, counts))
     if f_star is not None:
-        p[f_star] = Fraction(1)
-    return p
+        counts[f_star] = det
+    return Solution(det, counts)
 
 
 @dataclass(frozen=True)
@@ -141,17 +164,15 @@ class RegionCounts:
 
 
 def region_counts(tri: TemperleyTriple) -> RegionCounts:
-    """Every count of a region, from one elimination.
+    """Every count of a region, from one solve.
 
     at[v] is the number of coverings with the impurity on any one given
     diagonal edge at v.
     """
     sys = build_system(tri.h_perp)
-    det, counts = eliminate(sys)
-    at = dict(zip(sys.order, counts))
-    at[tri.f_star] = det
-    return RegionCounts(det, at,
-                        4 * sum(at.values()) + (sys.d_star - 3) * det)
+    p = solve_p(sys, tri.f_star)
+    return RegionCounts(p.det, p.counts,
+                        4 * sum(p.counts.values()) + (sys.d_star - 3) * p.det)
 
 
 def impurity_face(tri: TemperleyTriple, e: Edge):

@@ -45,12 +45,27 @@ class LocalMove:
         return (self.kind, tuple(sorted(self.removes)))
 
 
+def _own_vertices(g):
+    """coordinate -> g's vertex object, so that a stored site list holds
+    references to the graph's tuples rather than copies of them."""
+    return {v: v for v in g.vertices}
+
+
 def unit_squares(g):
-    """All unit squares of g as (bl, br, tr, tl) corner tuples."""
-    vs = g.vertex_set
-    return [((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-            for x, y in g.vertices
-            if (x + 1, y) in vs and (x + 1, y + 1) in vs and (x, y + 1) in vs]
+    """All unit squares of g as (bl, br, tr, tl) corner tuples.
+
+    Corners are g's own vertex objects (see _own_vertices).
+    """
+    own = _own_vertices(g)
+    out = []
+    for bl in g.vertices:
+        x, y = bl
+        br = own.get((x + 1, y))
+        tr = own.get((x + 1, y + 1))
+        tl = own.get((x, y + 1))
+        if br and tr and tl:
+            out.append((bl, br, tr, tl))
+    return out
 
 
 def t_sites(g):
@@ -58,18 +73,17 @@ def t_sites(g):
 
     d is black, b a white unit neighbor of d, and a, c the two unit
     neighbors of d perpendicular to b; {a,b} and {b,c} are then the
-    diagonal edges of the site.
+    diagonal edges of the site.  Vertices are g's own objects.
     """
+    own = _own_vertices(g)
     out = []
     for d in g.blacks:
         x, y = d
         for ux, uy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            b = (x + ux, y + uy)
-            if b not in g.vertex_set:
-                continue
-            a = (x - uy, y + ux)
-            c = (x + uy, y - ux)
-            if a in g.vertex_set and c in g.vertex_set:
+            b = own.get((x + ux, y + uy))
+            a = own.get((x - uy, y + ux))
+            c = own.get((x + uy, y - ux))
+            if a and b and c:
                 if c < a:
                     a, c = c, a
                 out.append((a, b, c, d))

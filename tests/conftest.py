@@ -8,11 +8,10 @@ two-arc curves) in a single covering.
 """
 
 import pytest
-from hypothesis import assume, strategies as st
 
 from octadimer.covering import validate_covering
-from octadimer.lattice import (InvalidInputError, Region, build_normal_graph,
-                               build_region, ell_region, strip_region)
+from octadimer.lattice import (build_normal_graph, build_region, ell_region,
+                               strip_region)
 from octadimer.oracle import enumerate_coverings
 
 # Diamond 0 <= x+y <= 6, 0 <= x-y <= 8 and a covering of it with
@@ -30,30 +29,6 @@ DIAMOND_DIMERS = (
 
 def unit_square_graph():
     return build_normal_graph([(0, 0), (1, 0), (0, 1), (1, 1)])
-
-
-@st.composite
-def regions(draw, max_steps=3):
-    """A region grown by a random walk of up to max_steps face steps."""
-    steps = draw(st.lists(st.integers(0, 3), max_size=max_steps))
-    faces = {(1, 1)}
-    cur = (1, 1)
-    for k in steps:
-        dx, dy = ((2, 0), (0, 2), (-2, 0), (0, -2))[k]
-        cur = (cur[0] + dx, cur[1] + dy)
-        faces.add(cur)
-    boundary = sorted({(f[0] + dx, f[1] + dy) for f in faces
-                       for dx, dy in ((2, 0), (0, 2), (-2, 0), (0, -2))}
-                      - faces)
-    shift = draw(st.integers(0, len(boundary) - 1))
-    for f in boundary[shift:] + boundary[:shift]:
-        for c in ((f[0] - 1, f[1] - 1), (f[0] - 1, f[1] + 1),
-                  (f[0] + 1, f[1] - 1), (f[0] + 1, f[1] + 1)):
-            try:
-                return build_region(Region.of(sorted(faces), f, c))
-            except InvalidInputError:
-                continue
-    assume(False)
 
 
 @pytest.fixture(scope="session")

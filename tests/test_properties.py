@@ -3,7 +3,9 @@
 Regions are grown as short random walks of unit faces from (1,1); the
 root pair (f*, v*) is the first legal choice on the boundary.  Up to
 four faces the resulting G stays within the oracle's vertex budget, so
-every randomized identity below is checked exactly.
+every randomized identity below is checked exactly.  The integer
+elimination is also compared with the Fraction reference of
+test_kirchhoff.py on walks of up to 13 faces, beyond the oracle.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +21,8 @@ from octadimer.sampler import ChainConfig, run
 from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
 from octadimer.temperley import initial_covering
 
-from conftest import regions
+from strategies import regions
+from test_kirchhoff import assert_matches_reference
 
 points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -81,6 +84,12 @@ def test_p_values_are_probabilities(tri):
     p = solve_p(sys)
     for v, pv in p.items():
         assert 0 < pv < 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(regions(max_steps=12))
+def test_elimination_matches_reference_on_polyominoes(tri):
+    assert_matches_reference(tri)
 
 
 @settings(max_examples=20, deadline=None)

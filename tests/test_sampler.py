@@ -30,6 +30,14 @@ def test_proposal_sites(ell):
     assert {s[0] for s in sites} == {"s", "t"}
 
 
+def test_proposal_sites_hold_the_graphs_own_vertices(ell):
+    # the cached list adds references, not copies of the vertex tuples
+    own = {id(v) for v in ell.g.vertices}
+    sites = proposal_sites(ell.g)
+    assert sites is proposal_sites(ell.g)
+    assert all(id(v) in own for site in sites for v in site[1:])
+
+
 def test_zero_steps_is_identity(ell):
     m0 = initial_covering(ell)
     rep = run(m0, ChainConfig(seed=5, steps=0))
