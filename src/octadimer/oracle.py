@@ -59,6 +59,7 @@ def enumerate_coverings(g, limit=MATCHING_VERTEX_LIMIT):
         mate[lo] = None
 
     extend(0)
+    del extend  # it refers to itself: without this, out lives until gc runs
     return out
 
 

@@ -1,5 +1,7 @@
 """Brute-force enumeration cross-checks and size guards."""
 
+import gc
+
 import pytest
 
 from octadimer.lattice import build_normal_graph, build_region, strip_region
@@ -82,3 +84,17 @@ def test_tree_limit():
     edges = [(i, i + 1, i) for i in range(TREE_EDGE_LIMIT + 1)]
     with pytest.raises(TooLargeError):
         enumerate_spanning_trees(range(TREE_EDGE_LIMIT + 2), edges)
+
+
+def test_enumeration_leaves_no_reference_cycle(ell):
+    # the coverings are freed with the caller's last reference, not at
+    # the next cyclic collection
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_coverings(ell.g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
