@@ -5,7 +5,8 @@ Regions travel as {"faces": [[x,y],...], "f_star": [x,y],
 "v_star": [x,y]}, coverings as {"dimers": [[[x1,y1],[x2,y2]], ...]}.
 Every output is JSON with sorted keys (byte-deterministic) except
 render, which emits SVG.  Exit codes: 0 success, 2 validation failure,
-3 enumeration infeasible, 1 selftest failure.
+3 enumeration infeasible, 1 selftest failure.  Every InvalidInputError
+a command raises becomes exit 2 in main, at one place.
 """
 
 import argparse
@@ -45,15 +46,10 @@ def _load_region(path):
         return build_region(region)
     except (KeyError, TypeError) as exc:
         _fail(2, type(exc).__name__, "region file %s: %r" % (path, exc))
-    except InvalidInputError as exc:
-        _fail(2, type(exc).__name__, str(exc))
 
 
 def _load_covering(tri, path):
-    try:
-        return covering_from_obj(tri.g, _load_json(path))
-    except InvalidInputError as exc:
-        _fail(2, type(exc).__name__, str(exc))
+    return covering_from_obj(tri.g, _load_json(path))
 
 
 def _edge_key(e):
@@ -145,12 +141,8 @@ def cmd_sample(args):
     tri = _load_region(args.region)
     m0 = (_load_covering(tri, args.m0) if args.m0
           else temperley.initial_covering(tri))
-    try:
-        cfg = sampler.ChainConfig(seed=args.seed, steps=args.steps,
-                                  burn_in=args.burn_in,
-                                  sample_every=args.every)
-    except InvalidInputError as exc:
-        _fail(2, type(exc).__name__, str(exc))
+    cfg = sampler.ChainConfig(seed=args.seed, steps=args.steps,
+                              burn_in=args.burn_in, sample_every=args.every)
     report = sampler.run(m0, cfg, keep_trajectory=bool(args.frames))
     if args.frames:
         os.makedirs(args.frames, exist_ok=True)
@@ -288,7 +280,10 @@ def main(argv=None):
     p.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except InvalidInputError as exc:
+        _fail(2, type(exc).__name__, str(exc))
     return 0
 
 

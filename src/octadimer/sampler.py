@@ -17,8 +17,8 @@ changes.
 import random
 from dataclasses import dataclass, field
 
-from .covering import DimerCovering, validate_covering
-from .lattice import InvalidInputError
+from .covering import DimerCovering, impurities, validate_covering
+from .lattice import InvalidInputError, edge
 from .moves import LocalMove, apply_move, proposal_sites, site_move
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
@@ -72,12 +72,19 @@ def step(m: DimerCovering, rng: random.Random) -> DimerCovering:
 
 def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
         keep_trajectory=False) -> SampleReport:
-    """Run the chain from m0, thinning samples after burn-in."""
+    """Run the chain from m0, thinning samples after burn-in.
+
+    The impurities (diagonal dimers) are kept as a set through the run
+    rather than found again on each sample.  An s-move never touches a
+    diagonal dimer, and a t-move returned by site_move as (a, b, c, d)
+    always removes the diagonal {a,b} and adds the diagonal {b,c}, so
+    only accepted t-moves update the set.
+    """
     g = m0.graph
     sites = proposal_sites(g)
     n_sites = len(sites)
-    mate = dict(m0.mate_map())
-    whites1 = [w for w in g.whites if w[0] % 2]  # impurity = W1-white pair
+    mate = m0.mate_map()
+    impurity_set = set(impurities(m0))
     rng = random.Random(cfg.seed)
     randrange = rng.randrange
     accepted = 0
@@ -86,26 +93,25 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
     state_counts = {}
     trajectory = []
     for i in range(cfg.steps):
-        mv = site_move(mate, sites[randrange(n_sites)])
+        site = sites[randrange(n_sites)]
+        mv = site_move(mate, site)
         if mv is not None:
             a, b, c, d = mv
             mate[a], mate[d], mate[b], mate[c] = d, a, c, b
             accepted += 1
+            if site[0] == "t":
+                impurity_set.remove(edge(a, b))
+                impurity_set.add(edge(b, c))
         if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.sample_every == 0:
             n_samples += 1
-            for w in whites1:
-                v = mate[w]
-                if (v[0] + v[1]) % 2 == 0:
-                    e = (w, v) if w <= v else (v, w)
-                    impurity_counts[e] = impurity_counts.get(e, 0) + 1
+            for e in impurity_set:
+                impurity_counts[e] = impurity_counts.get(e, 0) + 1
             if track_states or keep_trajectory:
-                key = tuple(sorted(tuple(sorted((v, w)))
-                                   for v, w in mate.items() if v < w))
+                key = tuple(sorted((v, w) for v, w in mate.items() if v < w))
                 if track_states:
                     state_counts[key] = state_counts.get(key, 0) + 1
                 if keep_trajectory:
                     trajectory.append(key)
-    dimers = {tuple(sorted((v, w))) for v, w in mate.items()}
-    final = validate_covering(g, dimers)
+    final = validate_covering(g, [(v, w) for v, w in mate.items() if v < w])
     return SampleReport(cfg, final, accepted, n_samples,
                         impurity_counts, state_counts, trajectory)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from octadimer import cli
+from octadimer import cli, kirchhoff
 
 ELL = {"faces": [[1, 1], [1, 3], [3, 1]], "f_star": [3, 3], "v_star": [2, 4]}
 STRIP1 = {"faces": [[1, 1]], "f_star": [3, 1], "v_star": [2, 2]}
@@ -211,15 +211,30 @@ def test_invalid_covering_exits_2(capsys, tmp_path, strip_file):
      "2a8daa7ea5e575981dcdc232089d5d4361cfe312901d5c6da2a1fc833829cf78"),
     (STRIP8, ("prob", "{}"),
      "d627b9ae73b81ba7d9d70cc610f0149d381a7109ff4f8332889b4445c0f4dab4"),
+    (SQUARE4, ("sample", "{}", "--seed", "3", "--steps", "2000",
+               "--every", "1"),
+     "cffd835ba25f937bce79c26c32c471b7e622bb7391b0385074da6271c710da9c"),
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, region, argv, sha256):
     # sample and moves recorded before find_moves and the chain shared one
-    # move kernel, prob before the Fraction solve became integer elimination
+    # move kernel, prob before the Fraction solve became integer elimination,
+    # unthinned sample before run tracked the impurities through t-moves
     p = tmp_path / "region.json"
     p.write_text(json.dumps(region))
     assert cli.main([a.format(p) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_library_error_exits_2(capsys, monkeypatch, ell_file):
+    # any InvalidInputError a command meets maps to exit 2 in main
+    def singular(tri):
+        raise kirchhoff.SingularSystemError("negative Laplacian is singular")
+    monkeypatch.setattr(kirchhoff, "region_counts", singular)
+    code, obj = run_cli_fail(capsys, "prob", ell_file)
+    assert code == 2
+    assert obj == {"error": "SingularSystemError",
+                   "message": "negative Laplacian is singular"}
 
 
 @pytest.mark.parametrize("faces", [[[1]], [[True, 1]], [[1.0, 1]]])

@@ -1,6 +1,7 @@
 """Lazy symmetric chain over the static proposal list."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -125,3 +126,30 @@ def test_burn_in_and_thinning_counts(ell):
     assert total == rep.n_samples  # k = 1: one impurity per sample
     freqs = rep.impurity_frequencies()
     assert abs(sum(freqs.values()) - 1.0) < 1e-9
+
+
+def _start(request, name):
+    if name == "unit_square":
+        return validate_covering(unit_square_graph(),
+                                 [((0, 0), (1, 0)), ((0, 1), (1, 1))])
+    fixture = request.getfixturevalue(name)
+    return fixture if name == "diamond" else initial_covering(fixture)
+
+
+@pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square"])
+@pytest.mark.parametrize("every", [1, 3, 7])
+@pytest.mark.parametrize("burn_in", [0, 5])
+def test_impurity_counts_match_trajectory(request, name, every, burn_in):
+    # run tracks the impurities through t-moves; a scan of every kept
+    # state must give the same counts
+    m0 = _start(request, name)
+    rep = run(m0, ChainConfig(seed=17, steps=500, burn_in=burn_in,
+                              sample_every=every), keep_trajectory=True)
+    tally = Counter(e for dimers in rep.trajectory
+                    for e in impurities(validate_covering(m0.graph, dimers)))
+    assert rep.impurity_counts == dict(tally)
+    assert len(rep.trajectory) == rep.n_samples
+    if name == "unit_square":
+        assert rep.impurity_counts == {}
+    if name == "diamond":
+        assert sum(tally.values()) == 4 * rep.n_samples
