@@ -35,7 +35,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         _fail(2, type(exc).__name__, "%s: %s" % (path, exc))
 
 
@@ -120,8 +120,6 @@ def _vertex_key(v):
 
 
 def cmd_moves(args):
-    if args.action != "list":
-        _fail(2, "UnknownAction", "moves supports only: list")
     tri = _load_region(args.region)
     m = (_load_covering(tri, args.covering) if args.covering
          else temperley.initial_covering(tri))

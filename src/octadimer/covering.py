@@ -5,8 +5,8 @@ impurities and their number equals (|W_G| - |B_G|) / 2 independently of
 the covering.
 """
 
-from .lattice import (Edge, InvalidInputError, Vertex, edge,
-                      is_diagonal_edge)
+from .lattice import (Edge, InvalidInputError, RegionError, Vertex, _point,
+                      edge, is_diagonal_edge)
 
 
 class CoveringError(InvalidInputError):
@@ -103,7 +103,7 @@ def covering_to_obj(m: DimerCovering) -> dict:
 
 def covering_from_obj(g, obj) -> DimerCovering:
     try:
-        dimers = [(tuple(u), tuple(v)) for u, v in obj["dimers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        dimers = [(_point(u), _point(v)) for u, v in obj["dimers"]]
+    except (KeyError, TypeError, ValueError, RegionError) as exc:
         raise CoveringError("malformed covering object: %s" % exc) from exc
     return validate_covering(g, dimers)

@@ -13,6 +13,12 @@ subgraph and its complement in Gamma are connected.  The number of
 diagonal dimers in any perfect matching of a normal graph G is the
 invariant (|W_G| - |B_G|) / 2.
 
+Holes are found by counting cells, not by searching the complement: a
+connected union of closed cells in the plane has V - E + F = 1 - h,
+where h is the number of holes.  For a polyomino the cells are its
+corners, sides and faces; for an induced subgraph of Gamma they are
+its vertices, edges and triangles.  Each count is linear in the input.
+
 The second half of this module builds the one-impurity graphs G of a
 region: a polyomino H on Lambda given by its face centers, a
 distinguished outer face vertex f* of the dual, and a distinguished
@@ -165,34 +171,24 @@ def reach(starts, neighbors) -> set:
     return seen
 
 
-def _has_hole(points, neighbors, step) -> bool:
-    """Whether the complement of the set points splits.
-
-    The lattice has spacing step and neighbors(v) walks it.  Flood the
-    complement inside the bounding box grown by one step.  Any
-    complement point that can escape reaches the box frame, which lies
-    entirely outside points and is connected through the far exterior.
-    """
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    x0, x1 = min(xs) - step, max(xs) + step
-    y0, y1 = min(ys) - step, max(ys) + step
-    outside = {(x, y) for x in range(x0, x1 + 1, step)
-               for y in range(y0, y1 + 1, step) if (x, y) not in points}
-    frame = [(x, y) for x, y in outside if x in (x0, x1) or y in (y0, y1)]
-    seen = reach(frame, lambda v: [w for w in neighbors(v) if w in outside])
-    return len(seen) != len(outside)
-
-
 def build_normal_graph(vertex_set) -> NormalGraph:
-    """Build the induced subgraph on vertex_set and verify it is normal."""
+    """Build the induced subgraph on vertex_set and verify it is normal.
+
+    Gamma triangulates the plane: each unit square carries one
+    diagonal, which splits it into two triangles, one per flanking
+    black.  The induced subgraph spans every triangle whose three
+    vertices it holds, and once it is connected its complement is
+    connected exactly when V - E + (triangles) = 1.
+    """
     if not vertex_set:
         raise InvalidInputError("empty vertex set")
     vset = frozenset(tuple(v) for v in vertex_set)
     g = NormalGraph(vset, induced_edges(vset))
     if len(reach(g.vertices[:1], g._adjacency.__getitem__)) != len(g):
         raise NotConnectedError("vertex set is not connected in Gamma")
-    if _has_hole(vset, gamma_neighbors, 1):
+    triangles = sum(b in vset for e in diagonal_edges(g)
+                    for b in flanking_blacks(e))
+    if len(g.vertices) - len(g.edges) + triangles != 1:
         raise ComplementNotConnectedError("vertex set encloses a hole")
     return g
 
@@ -336,19 +332,16 @@ def build_region(region: Region) -> TemperleyTriple:
                                          if w in face_set])
     if len(linked) != len(faces):
         raise RegionError("faces are not connected")
-    if _has_hole(face_set, _face_neighbors, 2):
+    h_vertices = frozenset(c for f in faces for c in _face_corners(f))
+    h_edges = frozenset(s for f in faces for s in _face_sides(f))
+    if len(h_vertices) - len(h_edges) + len(faces) != 1:
         raise RegionError("faces enclose a hole")
 
-    # The local checks on f* come before its hole flood, whose box then
-    # grows by at most one face: a far-away f* would make it huge.
     f_star = tuple(region.f_star)
     if classify_vertex(f_star) != W1:
         raise InvalidFStarError("f* must be an odd-odd point")
     if f_star in face_set:
         raise InvalidFStarError("f* lies inside the region")
-
-    h_vertices = frozenset(c for f in faces for c in _face_corners(f))
-    h_edges = frozenset(s for f in faces for s in _face_sides(f))
 
     dual_edges = []
     l_edges = []
@@ -366,7 +359,8 @@ def build_region(region: Region) -> TemperleyTriple:
         raise InvalidFStarError(
             "f* must touch the region through 1 to 3 dual lattice edges, "
             "got %d" % len(l_edges))
-    if _has_hole(face_set | {f_star}, _face_neighbors, 2):
+    if (len(h_vertices.union(_face_corners(f_star)))
+            - len(h_edges.union(_face_sides(f_star))) + len(faces) + 1 != 1):
         raise InvalidFStarError("f* pinches off a hole")
     h_perp = DualGraph(faces, f_star, dual_edges, l_edges)
 

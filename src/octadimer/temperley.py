@@ -42,10 +42,6 @@ class RootedTree:
         self.vertices = frozenset(up) | {root}
         self.edges = frozenset(h for _, h in up.values())
 
-    @property
-    def oriented_edges(self):
-        return tuple(sorted((c, p) for c, (p, _) in self.up.items()))
-
     def __eq__(self, other):
         return (self.host == other.host and self.root == other.root
                 and self.up == other.up)

@@ -181,6 +181,14 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert "error" in obj
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    code, obj = run_cli_fail(capsys, "prob", str(p))
+    assert code == 2
+    assert obj["error"] == "RecursionError"
+
+
 def test_missing_file_exits_2(capsys):
     code, obj = run_cli_fail(capsys, "build", "/nonexistent.json")
     assert code == 2
@@ -200,6 +208,23 @@ def test_invalid_covering_exits_2(capsys, tmp_path, strip_file):
     cov.write_text(json.dumps({"dimers": []}))
     code, obj = run_cli_fail(capsys, "render", strip_file, str(cov))
     assert code == 2
+
+
+@pytest.mark.parametrize("endpoint", [[True, True], [[1], [2]]])
+def test_malformed_covering_points_exit_2(capsys, tmp_path, ell_file,
+                                          endpoint):
+    # a covering endpoint obeys the same point rule as a region file
+    rc, obj = run_cli(capsys, "sample", ell_file, "--seed", "1",
+                      "--steps", "0")
+    dimers = obj["final_covering"]["dimers"]
+    i = next(i for i, d in enumerate(dimers) if [1, 1] in d)
+    dimers[i][dimers[i].index([1, 1])] = endpoint
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"dimers": dimers}))
+    code, obj = run_cli_fail(capsys, "sample", ell_file, str(cov),
+                             "--seed", "1", "--steps", "0")
+    assert code == 2
+    assert obj["error"] == "CoveringError"
 
 
 @pytest.mark.parametrize("region, argv, sha256", [

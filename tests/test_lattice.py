@@ -9,7 +9,39 @@ from octadimer.lattice import (
     InvalidVStarError, NotConnectedError, Region, RegionError,
     build_normal_graph, build_region, classify_vertex, diagonal_edges,
     edge, ell_region, gamma_neighbors, is_black, is_diagonal_edge,
-    is_unit_edge, is_white, midpoint, strip_region)
+    is_unit_edge, is_white, midpoint, reach, strip_region)
+
+
+def flood_has_hole(points, neighbors, step) -> bool:
+    """Reference hole check: whether the complement of points splits.
+
+    The lattice has spacing step and neighbors(v) walks it.  Flood the
+    complement inside the bounding box grown by one step.  Any
+    complement point that can escape reaches the box frame, which lies
+    entirely outside points and is connected through the far exterior.
+    """
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    x0, x1 = min(xs) - step, max(xs) + step
+    y0, y1 = min(ys) - step, max(ys) + step
+    outside = {(x, y) for x in range(x0, x1 + 1, step)
+               for y in range(y0, y1 + 1, step) if (x, y) not in points}
+    frame = [(x, y) for x, y in outside if x in (x0, x1) or y in (y0, y1)]
+    seen = reach(frame, lambda v: [w for w in neighbors(v) if w in outside])
+    return len(seen) != len(outside)
+
+
+def face_neighbors(f):
+    x, y = f
+    return ((x + 2, y), (x - 2, y), (x, y + 2), (x, y - 2))
+
+
+def staircase(m):
+    """2m + 1 faces climbing diagonally, f* and v* at the top step."""
+    faces = ([(2 * i + 1, 2 * i + 1) for i in range(m)]
+             + [(2 * i + 3, 2 * i + 1) for i in range(m)]
+             + [(2 * m + 1, 2 * m + 1)])
+    return Region.of(faces, (2 * m + 3, 2 * m + 1), (2 * m + 2, 2 * m + 2))
 
 
 def test_vertex_classes():
@@ -155,9 +187,17 @@ def test_f_star_validation():
         build_region(Region.of(cee, (1, 3), (0, 2)))
 
 
+def test_staircase_builds_in_linear_time():
+    # the hole checks count cells of the faces, not of their bounding box
+    region = staircase(320)
+    start = time.perf_counter()
+    tri = build_region(region)
+    assert time.perf_counter() - start < 1.0
+    assert len(tri.region.faces) == 641
+
+
 def test_far_f_star_rejected_quickly():
-    # a far-away f* must fail its local checks before any flood fill
-    # spans the gap to the region
+    # a far-away f* fails its local checks, whatever the gap to the region
     start = time.perf_counter()
     with pytest.raises(InvalidFStarError):
         build_region(Region.of([(1, 1)], (8001, 8001), (8000, 8000)))

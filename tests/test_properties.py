@@ -5,16 +5,30 @@ root pair (f*, v*) is the first legal choice on the boundary.  Up to
 four faces the resulting G stays within the oracle's vertex budget, so
 every randomized identity below is checked exactly.  The integer
 elimination is also compared with the Fraction reference of
-test_kirchhoff.py on walks of up to 13 faces, beyond the oracle.
+test_kirchhoff.py on walks of up to 13 faces, beyond the oracle.  The
+Euler-count hole checks are compared with the bounding-box flood of
+test_lattice.py, and cli.main is fuzzed with arbitrary file contents.
 """
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
 
-from octadimer.covering import expected_impurity_count, impurities
+from octadimer import cli
+from octadimer.covering import (covering_to_obj, expected_impurity_count,
+                                impurities)
 from octadimer.kirchhoff import (build_system, coverings_with_impurity,
                                  solve_p, total_coverings, tree_count)
-from octadimer.lattice import (BLACK, W0, W1, classify_vertex, diagonal_edges,
-                               edge, gamma_neighbors, is_black, is_white)
+from octadimer.lattice import (BLACK, W0, W1, ComplementNotConnectedError,
+                               Region, RegionError, build_normal_graph,
+                               build_region, classify_vertex, diagonal_edges,
+                               edge, gamma_neighbors, is_black, is_white,
+                               reach, strip_region)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings, impurity_histogram
 from octadimer.sampler import ChainConfig, run
@@ -22,7 +36,9 @@ from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
 from octadimer.temperley import initial_covering
 
 from strategies import regions
+from test_cli import STRIP1
 from test_kirchhoff import assert_matches_reference
+from test_lattice import face_neighbors, flood_has_hole
 
 points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -129,3 +145,132 @@ def test_chain_stays_valid(tri, seed):
     rep = run(m0, ChainConfig(seed=seed, steps=300))
     assert len(impurities(rep.final)) == 1
     assert rep.final.graph is tri.g
+
+
+@st.composite
+def box_components(draw, neighbors, step, max_side=7):
+    """A connected set: one component of a dense random subset of a box.
+
+    The box has sides of up to max_side lattice points, spaced step
+    apart, starting at (step // 2, step // 2).
+    """
+    cols, rows = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    kept = {(step * x + step // 2, step * y + step // 2)
+            for x in range(cols) for y in range(rows)
+            if draw(st.integers(0, 3))}
+    assume(kept)
+    return frozenset(reach([min(kept)], lambda v: [w for w in neighbors(v)
+                                                   if w in kept]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(box_components(gamma_neighbors, 1))
+def test_normal_graph_hole_check_matches_flood(vertices):
+    try:
+        build_normal_graph(vertices)
+        hole = False
+    except ComplementNotConnectedError:
+        hole = True
+    assert hole == flood_has_hole(vertices, gamma_neighbors, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(box_components(face_neighbors, 2), st.data())
+def test_region_hole_checks_match_flood(component, data):
+    # f* is cut out of a connected set, so it often closes a ring
+    f_star = data.draw(st.sampled_from(sorted(component)))
+    faces = component - {f_star}
+    assume(faces and len(reach([min(faces)], lambda f: [
+        w for w in face_neighbors(f) if w in faces])) == len(faces))
+    touching = sum(w in faces for w in face_neighbors(f_star))
+    hole = flood_has_hole(faces, face_neighbors, 2)
+    pinch = (not hole and 1 <= touching <= 3
+             and flood_has_hole(component, face_neighbors, 2))
+    try:
+        build_region(Region.of(faces, f_star, (f_star[0] - 1, f_star[1] - 1)))
+        message = None
+    except RegionError as exc:
+        message = str(exc)
+    assert (message == "faces enclose a hole") == hole
+    assert (message == "f* pinches off a hole") == pinch
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=16)
+nested = st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n)
+points_or_junk = (st.lists(st.integers(-1, 7), min_size=2, max_size=2)
+                  | json_values)
+region_objects = st.fixed_dictionaries({
+    "faces": st.lists(points_or_junk, max_size=5),
+    "f_star": points_or_junk, "v_star": points_or_junk})
+
+STRIP1_COVERINGS = [covering_to_obj(m) for m in
+                    enumerate_coverings(build_region(strip_region(1)).g)]
+
+
+def same_value_other_type(p):
+    """[1, 0] -> [True, False], [3, 1] -> [3.0, True]: equal, not ints."""
+    return [c == 1 if c in (0, 1) else float(c) for c in p]
+
+
+@st.composite
+def covering_objects(draw):
+    """A covering of strip 1 with up to two endpoints replaced."""
+    obj = copy.deepcopy(draw(st.sampled_from(STRIP1_COVERINGS)))
+    dimers = obj["dimers"]
+    for i, j in draw(st.sets(st.tuples(st.integers(0, len(dimers) - 1),
+                                       st.integers(0, 1)), max_size=2)):
+        dimers[i][j] = draw(st.just(same_value_other_type(dimers[i][j]))
+                            | json_values)
+    return obj
+
+
+def file_contents(objects):
+    """File bytes: JSON of objects or of anything, deep nesting, or junk."""
+    text = st.one_of(objects.map(json.dumps), json_values.map(json.dumps),
+                     nested, st.text(max_size=12))
+    return text.map(str.encode) | st.binary(max_size=12)
+
+
+def run_main(files, argv):
+    """Run cli.main on argv, {} slots filled by files holding the bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, content in enumerate(files):
+            paths.append(os.path.join(tmp, "%d.json" % i))
+            with open(paths[-1], "wb") as fh:
+                fh.write(content)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                code = cli.main([a.format(*paths) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3)
+    if code:
+        assert set(json.loads(out.getvalue())) == {"error", "message"}
+    return code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(file_contents(region_objects), st.sampled_from(["build", "prob"]))
+def test_cli_survives_any_region_file(content, command):
+    run_main([content], [command, "{0}"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(file_contents(covering_objects()), st.sampled_from([
+    ("moves", "list", "{0}", "{1}"),
+    ("render", "{0}", "{1}"),
+    ("sample", "{0}", "{1}", "--seed", "1", "--steps", "0")]))
+def test_cli_survives_any_covering_file(content, argv):
+    code = run_main([json.dumps(STRIP1).encode(), content], argv)
+    if code == 0:
+        # an accepted covering names every endpoint by two plain ints
+        obj = json.loads(content)
+        assert all(type(c) is int for dimer in obj["dimers"]
+                   for p in dimer for c in p)
