@@ -1,0 +1,142 @@
+"""Per-layer timings of the counting path over a fixed region ladder.
+
+Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
+and kirchhoff.total_coverings on strips n = 1..8 and k x k squares
+(faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of
+five calls, and checks every region's exact answer: the strip
+determinants follow a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0,
+and on every region the counts N = |det A| p from solve_p satisfy
+A N = |det A| b, with A and b rebuilt from the dual graph, not from the
+system under test.
+
+Stdlib only; it imports octadimer from the path, so
+
+    PYTHONPATH=src python3 bench/ladder.py [--quick]
+
+times the checkout it is run in, and PYTHONPATH=<other checkout>/src
+times another.  One JSON object goes to stdout: provenance (Python,
+nproc, the library's git commit and whether its tree is dirty, a hash
+of its sources and a hash of the ladder) and one record per region.
+--quick runs strips 1..8 and squares 4 and 8 once.  The exit status is
+1 if any check fails.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import octadimer
+from octadimer import (Region, build_region, build_system, solve_p,
+                       strip_region, total_coverings, tree_count)
+
+STRIPS = range(1, 9)
+SQUARES = (4, 8, 12, 16, 24)
+QUICK_SQUARES = (4, 8)
+REPEATS = 5
+
+
+def square_region(k):
+    """k x k faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)."""
+    faces = [(2 * i + 1, 2 * j + 1) for i in range(k) for j in range(k)]
+    return Region.of(faces, (2 * k + 1, 1), (2 * k, 2))
+
+
+def ladder(quick):
+    regions = [("strip%d" % n, strip_region(n)) for n in STRIPS]
+    regions += [("square%d" % k, square_region(k))
+                for k in (QUICK_SQUARES if quick else SQUARES)]
+    return regions
+
+
+def median_time(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), result
+
+
+def residual_ok(tri):
+    """A N == |det A| b, row by row over the dual graph's faces."""
+    hp = tri.h_perp
+    p = solve_p(build_system(hp))
+    b = dict.fromkeys(hp.faces, 0)
+    for u, v, h in hp.dual_edges:
+        if h in hp.l_edges:
+            b[v if u == hp.f_star else u] = 1
+    return all(4 * p.counts[v] - sum(p.counts[w] for w in hp.neighbors(v)
+                                     if w != hp.f_star) == p.det * b[v]
+               for v in hp.faces)
+
+
+def measure(name, region, repeats):
+    t_region, tri = median_time(lambda: build_region(region), repeats)
+    t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
+    t_det, det = median_time(lambda: tree_count(system), repeats)
+    t_total, total = median_time(lambda: total_coverings(tri), repeats)
+    return {"name": name, "faces": len(region.faces),
+            "det_bits": det.bit_length(), "det": str(det),
+            "total": str(total), "residual_ok": residual_ok(tri),
+            "seconds": {"build_region": t_region, "build_system": t_system,
+                        "tree_count": t_det, "total_coverings": t_total}}
+
+
+def strip_recurrence_ok(records):
+    dets = [int(r["det"]) for r in records
+            if r["name"].startswith("strip")]
+    a = [0, 1]
+    for _ in dets:
+        a.append(4 * a[-1] - a[-2])
+    return dets == a[2:]
+
+
+def _git(root, *args):
+    try:
+        out = subprocess.run(["git", "-C", str(root), *args], check=True,
+                             capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.strip()
+
+
+def provenance(regions, repeats):
+    src = pathlib.Path(octadimer.__file__).resolve().parent
+    sources = hashlib.sha256()
+    for path in sorted(src.glob("*.py")):
+        sources.update(path.name.encode() + b"\0" + path.read_bytes())
+    spec = [[name, r.faces, r.f_star, r.v_star] for name, r in regions]
+    status = _git(src, "status", "--porcelain", "--", ".")
+    return {"python": platform.python_version(), "nproc": os.cpu_count(),
+            "commit": _git(src, "rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status),
+            "sources_sha256": sources.hexdigest(),
+            "ladder_sha256": hashlib.sha256(
+                json.dumps(spec).encode()).hexdigest(),
+            "repeats": repeats}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="strips 1..8 and squares 4, 8, one repeat")
+    args = parser.parse_args(argv)
+    repeats = 1 if args.quick else REPEATS
+    regions = ladder(args.quick)
+    records = [measure(name, region, repeats) for name, region in regions]
+    ok = strip_recurrence_ok(records) and all(r["residual_ok"]
+                                              for r in records)
+    print(json.dumps({"provenance": provenance(regions, repeats),
+                      "correct": ok, "regions": records}, indent=1))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

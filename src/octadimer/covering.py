@@ -63,14 +63,19 @@ class DimerCovering:
 
 
 def validate_covering(g, dimers) -> DimerCovering:
-    """Check that dimers is a perfect matching of g and wrap it."""
+    """Check that dimers is a perfect matching of g and wrap it.
+
+    The covering keeps g's own edge tuples, so its dimers hold plain-int
+    points whatever equal-comparing coordinates the caller passed.
+    """
     mate = {}
     canonical = []
-    for e in dimers:
-        u, v = e
-        e = edge(tuple(u), tuple(v))
-        if e not in g.edge_set:
-            raise ForeignEdgeError(e)
+    own_edges = g.own_edges
+    for u, v in dimers:
+        key = edge(tuple(u), tuple(v))
+        e = own_edges.get(key)
+        if e is None:
+            raise ForeignEdgeError(key)
         for w in e:
             if w in mate:
                 raise DoublyCoveredVertexError(w)

@@ -19,9 +19,9 @@ for every face vertex, d* + 1 for f*.  Hence
 
 the sum running over all of V(H-perp) with p_f* = 1.
 
-Every count is an integer: one fraction-free elimination of [A | b]
-per region (eliminate, called once by solve_p) yields |det A| and
-|det A| p together, and the integers |det A| p_v are the per-edge
+Every count is an integer: one banded fraction-free elimination of
+[A | b] per region (eliminate, called once by solve_p) yields |det A|
+and |det A| p together, and the integers |det A| p_v are the per-edge
 counts themselves.  Fraction appears only where a probability is read
 out: a Solution's items and impurity_probability.
 """
@@ -49,73 +49,121 @@ class NotInGError(InvalidInputError):
 @dataclass(frozen=True)
 class LaplacianSystem:
     order: tuple          # V(H-perp) minus f*, lexicographic
-    a: tuple              # rows of the reduced negative Laplacian
+    neighbors: tuple      # per row, the columns of its -1 entries
     b: tuple              # l-edge indicator
     d_star: int
 
 
 def build_system(hp) -> LaplacianSystem:
-    """The reduced negative Laplacian and boundary vector of a dual graph."""
+    """The reduced negative Laplacian and boundary vector of a dual graph.
+
+    A is stored by rows: the diagonal is always 4, and row i holds -1 at
+    each column in neighbors[i], so the system takes O(n) space.
+    """
     order = tuple(sorted(hp.faces))
     index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    a = [[0] * n for _ in range(n)]
-    b = [0] * n
-    for i, v in enumerate(order):
-        a[i][i] = 4
+    neighbors = tuple(tuple(index[w] for w in hp.neighbors(v) if w in index)
+                      for v in order)
+    b = [0] * len(order)
     for u, v, h in hp.dual_edges:
-        if hp.f_star in (u, v):
-            face = v if u == hp.f_star else u
-            if h in hp.l_edges:
-                b[index[face]] = 1
-        else:
-            a[index[u]][index[v]] = -1
-            a[index[v]][index[u]] = -1
-    return LaplacianSystem(order, tuple(map(tuple, a)), tuple(b), hp.d_star)
+        if h in hp.l_edges:
+            b[index[v if u == hp.f_star else u]] = 1
+    return LaplacianSystem(order, neighbors, tuple(b), hp.d_star)
 
 
 def eliminate(sys: LaplacianSystem):
     """|det A| and the integers N = |det A| p over sys.order.
 
     One fraction-free (Bareiss) elimination of the augmented matrix
-    [A | b]: after step k every entry below row k is a (k+1)-minor of
-    the row-permuted matrix, so each division is exact and the last
-    pivot D is +-det A.  The triangular U and column c it leaves still
-    satisfy U p = c, and N_i = |D| p_i is an integer by Cramer's rule,
-    so back-substitution U_ii N_i = |D| c_i - sum_{j>i} U_ij N_j
-    divides exactly too.  Rows whose pivot-column entry is 0 are only
-    rescaled, and only at their nonzero entries: most rows of the sparse
-    Laplacian, so this takes about a third off the elimination.  Raises
-    SingularSystemError when A is singular.
+    [A | b] with no row swaps: a built A is symmetric, diagonally
+    dominant and nonsingular, so positive definite, and every pivot (a
+    leading principal minor) is positive.  Rows build_system cannot make
+    raise InvalidInputError; a zero pivot, which only a singular
+    hand-built system can give, raises SingularSystemError.
+
+    Row i is zero left of column first(i), the least of i and its
+    neighbors, and fill-in stays right of it, so step k updates only the
+    band of rows with first(i) <= k < i: w rows for a bandwidth w, which
+    is k on a k x k square in lexicographic order.  O(n w^2) in all.  A
+    row below the band would only be rescaled by pivot/prev at each
+    step; instead it records how many steps it has been through, and is
+    multiplied by piv[k] and divided by piv[that count] when next
+    touched.  The skipped rescales telescope, so the division is exact.
+    The rescale comes before the row's pivot-column factor is read.
+
+    Row k as it stands at step k is row k of the triangular U p = c the
+    elimination leaves, so N_k = (|D| c_k - sum_{j>k} U_kj N_j) / U_kk,
+    exact by Cramer's rule with D = det A the last pivot.
     """
     n = len(sys.order)
-    m = [list(row) + [b] for row, b in zip(sys.a, sys.b)]
-    prev = 1
+    _check_rows(sys, n)
+    rows = []
+    entering = [[] for _ in range(n)]
+    for i, (adj, b) in enumerate(zip(sys.neighbors, sys.b)):
+        row = dict.fromkeys(adj, -1)
+        row[i] = 4
+        if b:
+            row[n] = b            # column n holds b
+        rows.append(row)
+        entering[min(row)].append(i)
+    piv = [1]                     # piv[k]: pivot of step k - 1, divisor at k
+    level = [0] * n               # steps each row has been brought through
+    band = set()
     for k in range(n):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                raise SingularSystemError("negative Laplacian is singular")
-            m[k], m[swap] = m[swap], m[k]
-        pivot = m[k][k]
-        top = m[k][k + 1:]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            if f:
-                row[k + 1:] = [(x * pivot - f * y) // prev
-                               for x, y in zip(row[k + 1:], top)]
-            else:
-                row[k + 1:] = [x * pivot // prev if x else 0
-                               for x in row[k + 1:]]
-        prev = pivot
-    det = abs(prev)
-    counts = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        rest = sum(u * c for u, c in zip(row[i + 1:n], counts[i + 1:]))
-        counts[i] = (det * row[n] - rest) // row[i]
-    return det, tuple(counts)
+        band.update(entering[k])
+        band.discard(k)
+        top = rows[k]
+        if level[k] < k:
+            top = {j: x * piv[k] // piv[level[k]] for j, x in top.items()}
+        pivot = top.pop(k)
+        if not pivot:
+            raise SingularSystemError("negative Laplacian is singular")
+        top = tuple(top.items())
+        rows[k] = (pivot, top)    # row k of U, final
+        prev = piv[k]
+        piv.append(pivot)
+        for i in band:
+            row = rows[i]
+            if k not in row:
+                continue
+            if level[i] < k:
+                row = {j: x * prev // piv[level[i]] for j, x in row.items()}
+            f = row.pop(k)
+            new = {j: (row.pop(j, 0) * pivot - f * y) // prev
+                   for j, y in top}
+            for j, x in row.items():
+                new[j] = x * pivot // prev
+            rows[i] = new
+            level[i] = k + 1
+    det = abs(piv[-1])
+    counts = [0] * n + [-det]     # counts[n] folds |D| c_k into the sum
+    for k in range(n - 1, -1, -1):
+        pivot, top = rows[k]
+        counts[k] = -sum(y * counts[j] for j, y in top) // pivot
+    return det, tuple(counts[:n])
+
+
+def _check_rows(sys: LaplacianSystem, n: int):
+    """Reject rows build_system cannot make.
+
+    Rows of at most four distinct neighbors in range(n), none the row
+    itself, with j in row i exactly when i is in row j, make A symmetric
+    and diagonally dominant, so positive semidefinite: a zero leading
+    minor then means det A = 0, and the elimination needs no swaps.
+    """
+    cols = [set(adj) for adj in sys.neighbors]
+    if len(cols) != n or len(sys.b) != n:
+        raise InvalidInputError("system has %d rows and %d b entries for "
+                                "%d faces" % (len(cols), len(sys.b), n))
+    for i, (adj, c) in enumerate(zip(sys.neighbors, cols)):
+        if not (len(c) == len(adj) <= 4 and i not in c
+                and all(type(j) is int and 0 <= j < n and i in cols[j]
+                        for j in adj)):
+            raise InvalidInputError("row %d, neighbors %r, is not a row of "
+                                    "a reduced dual Laplacian" % (i, adj))
+        if type(sys.b[i]) is not int or sys.b[i] not in (0, 1):
+            raise InvalidInputError("b[%d] = %r is not 0 or 1"
+                                    % (i, sys.b[i]))
 
 
 def tree_count(sys: LaplacianSystem) -> int:

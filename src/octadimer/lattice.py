@@ -29,6 +29,7 @@ and v* are dropped; G is the subgraph of Gamma induced by
 V(N) + {f*, v*} and every covering of G carries exactly one impurity.
 """
 
+import functools
 from dataclasses import dataclass
 
 
@@ -135,6 +136,15 @@ class NormalGraph:
 
     def neighbors(self, v: Vertex):
         return self._adjacency[v]
+
+    @functools.cached_property
+    def own_edges(self) -> dict:
+        """Each edge -> the graph's own tuple for it.
+
+        (0, True) and (0, 1.0) hash and compare equal to (0, 1); looking
+        an edge up here gives back plain-int points.
+        """
+        return {e: e for e in self.edges}
 
     def __contains__(self, v):
         return v in self.vertex_set

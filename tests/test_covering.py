@@ -71,3 +71,17 @@ def test_json_round_trip(ell):
     bad = {"dimers": obj["dimers"][1:]}
     with pytest.raises(UncoveredVertexError):
         covering_from_obj(ell.g, bad)
+
+
+@pytest.mark.parametrize("one", [True, 1.0])
+def test_dimers_hold_plain_int_points(ell, one):
+    # (0, True) and (0, 1.0) compare equal to (0, 1); the covering must
+    # keep the graph's own points, never the caller's bool or float
+    m = initial_covering(ell)
+    swapped = [tuple(tuple(one if c == 1 else c for c in p) for p in e)
+               for e in m.dimers]
+    assert any(type(c) is not int for e in swapped for p in e for c in p)
+    m2 = validate_covering(ell.g, swapped)
+    assert m2 == m
+    assert all(type(c) is int for e in m2.dimers for p in e for c in p)
+    assert all(type(c) is int for p in m2.mate_map() for c in p)

@@ -3,13 +3,19 @@
 Frozen numbers: the L-region system (det 56, p = 1/7, 2/7, 2/7, total
 328) and the strip determinants 4, 15, 56, 209, 780, 2911, 10864,
 40545, which obey a_n = 4 a_{n-1} - a_{n-2} and the closed form in
-powers of 2 +- sqrt(3).  The integer elimination is checked against a
-naive Fraction Gauss-Jordan, kept here as the reference (and used on
-random polyominoes in test_properties.py).
+powers of 2 +- sqrt(3).  The banded integer elimination is checked
+against a naive dense Fraction Gauss-Jordan, kept here as the reference
+(and used on random polyominoes in test_properties.py), and on the
+larger squares by its exact residual and a determinant mod a prime.
+The square regions and the residual check are those of bench/ladder.py,
+which runs the same check in CI.
 """
 
+import dataclasses
+import importlib.util
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,23 +26,35 @@ from octadimer.kirchhoff import (LaplacianSystem, NotDiagonalError,
                                  build_system, coverings_with_impurity,
                                  eliminate, impurity_probability, solve_p,
                                  total_coverings, tree_count)
-from octadimer.lattice import Region, build_region, ell_region, strip_region
+from octadimer.lattice import (InvalidInputError, build_region, ell_region,
+                               strip_region)
 from octadimer.oracle import impurity_histogram
 
 STRIP_DETS = [4, 15, 56, 209, 780, 2911, 10864, 40545]
 
+_spec = importlib.util.spec_from_file_location(
+    "ladder", pathlib.Path(__file__).parents[1] / "bench" / "ladder.py")
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
+square_region = ladder.square_region
 
-def square_region(k):
-    """k x k faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)."""
-    faces = [(2 * i + 1, 2 * j + 1) for i in range(k) for j in range(k)]
-    return Region.of(faces, (2 * k + 1, 1), (2 * k, 2))
+
+def dense_rows(sys):
+    """A as a dense list of rows, from its sparse rows."""
+    n = len(sys.order)
+    a = [[0] * n for _ in range(n)]
+    for i, adj in enumerate(sys.neighbors):
+        a[i][i] = 4
+        for j in adj:
+            a[i][j] = -1
+    return a
 
 
 def reference_solve(sys):
     """det A and p by Gauss-Jordan over Fraction, with no integer tricks."""
     n = len(sys.order)
     m = [[Fraction(x) for x in row] + [Fraction(sys.b[i])]
-         for i, row in enumerate(sys.a)]
+         for i, row in enumerate(dense_rows(sys))]
     det = Fraction(1)
     for k in range(n):
         pivot = next(i for i in range(k, n) if m[i][k])
@@ -62,7 +80,8 @@ def assert_matches_reference(tri):
 def test_ell_system(ell):
     sys = build_system(ell.h_perp)
     assert sys.order == ((1, 1), (1, 3), (3, 1))
-    assert sys.a == ((4, -1, -1), (-1, 4, 0), (-1, 0, 4))
+    assert sys.neighbors == ((1, 2), (0,), (0,))
+    assert dense_rows(sys) == [[4, -1, -1], [-1, 4, 0], [-1, 0, 4]]
     assert sys.b == (0, 1, 1)
     assert sys.d_star == 2
 
@@ -175,11 +194,39 @@ def test_corrected_asymptotic_constant():
 
 
 def test_singular_system():
-    sys = LaplacianSystem(order=((1, 1), (3, 1)), a=((1, 1), (1, 1)),
-                          b=(0, 1), d_star=1)
+    # 4 I minus the adjacency of K5 sends the all-ones vector to 0; the
+    # elimination meets the zero pivot at its last step
+    order = tuple((2 * i + 1, 1) for i in range(5))
+    sys = LaplacianSystem(
+        order=order,
+        neighbors=tuple(tuple(j for j in range(5) if j != i)
+                        for i in range(5)),
+        b=(0, 0, 0, 0, 1), d_star=1)
     assert tree_count(sys) == 0
     with pytest.raises(SingularSystemError):
         solve_p(sys)
+
+
+@pytest.mark.parametrize("neighbors, b", [
+    # 5 I - J has det -3125, but its leading 5 x 5 minor is 0, and no
+    # face of a region has five neighbors
+    (tuple(tuple(j for j in range(6) if j != i) for i in range(6)), (0,) * 6),
+    (((2,), (0,)), (0, 1)),           # column n holds b
+    (((1,), ()), (0, 1)),             # not symmetric
+    (((0, 1), (0,)), (0, 1)),         # the row itself
+    (((1, 1), (0,)), (0, 1)),         # repeated neighbor
+    (((True,), (0,)), (0, 1)),        # not a plain int
+    (((1,), (0,)), (0, 2)),           # b not 0 or 1
+    (((1,), (0,)), (1,)),             # b too short
+], ids=["six-neighbors", "index-n", "asymmetric", "self", "repeated",
+        "bool", "b-entry", "b-length"])
+def test_hand_built_rows_rejected(neighbors, b):
+    order = tuple((2 * i + 1, 1) for i in range(len(neighbors)))
+    sys = LaplacianSystem(order=order, neighbors=neighbors, b=b, d_star=1)
+    for call in (tree_count, solve_p):
+        with pytest.raises(InvalidInputError) as err:
+            call(sys)
+        assert not isinstance(err.value, SingularSystemError)
 
 
 @pytest.mark.parametrize("region", [strip_region(n) for n in range(1, 9)]
@@ -188,6 +235,54 @@ def test_singular_system():
                          + ["ell", "square4", "square8"])
 def test_elimination_matches_reference(region):
     assert_matches_reference(build_region(region))
+
+
+def det_mod(a, p):
+    """det a mod the prime p, by dense Gaussian elimination over GF(p)."""
+    m = [[x % p for x in row] for row in a]
+    n = len(m)
+    det = 1
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if m[i][k])
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k] % p
+        inv = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            if m[i][k]:
+                r = m[i][k] * inv % p
+                m[i] = [(x - r * y) % p for x, y in zip(m[i], m[k])]
+    return det % p
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_elimination_residual_on_large_squares(k):
+    # A N = det b exactly, row by row with A and b rebuilt from the dual
+    # graph, and det agrees with a dense elimination modulo a 61-bit prime
+    tri = build_region(square_region(k))
+    assert ladder.residual_ok(tri)
+    sys = build_system(tri.h_perp)
+    det, counts = eliminate(sys)
+    prime = 2 ** 61 - 1
+    assert det % prime == det_mod(dense_rows(sys), prime)
+    assert det > 0 and all(0 < c < det for c in counts)
+
+
+def test_system_is_linear_in_size():
+    # at most the diagonal and four neighbors per row, never n^2 entries
+    sys = build_system(build_region(square_region(16)).h_perp)
+    n = len(sys.order)
+
+    def entries(x):
+        if isinstance(x, (tuple, list)):
+            return sum(entries(y) for y in x)
+        return 1
+    stored = sum(entries(getattr(sys, f.name))
+                 for f in dataclasses.fields(sys)
+                 if f.name not in ("order", "b", "d_star"))
+    assert n == 256
+    assert stored <= 5 * n
 
 
 def test_one_elimination_per_call(monkeypatch, capsys, tmp_path, ell):
