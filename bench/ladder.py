@@ -1,13 +1,14 @@
-"""Per-layer timings of the counting path over a fixed region ladder.
+"""Per-layer timings of the counting and slit paths over a region ladder.
 
 Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
-and kirchhoff.total_coverings on strips n = 1..8 and k x k squares
+and kirchhoff.total_coverings, and slits.slit_curves and slits.forests
+on the region's initial_covering, on strips n = 1..8 and k x k squares
 (faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of
-five calls, and checks every region's exact answer: the strip
-determinants follow a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0,
-and on every region the counts N = |det A| p from solve_p satisfy
-A N = |det A| b, with A and b rebuilt from the dual graph, not from the
-system under test.
+five calls, and checks every region's answers: the strip determinants
+follow a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every
+region the counts N = |det A| p from solve_p satisfy A N = |det A| b,
+with A and b rebuilt from the dual graph, not from the system under
+test; and the forest pair splits G's whites into trees.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -33,8 +34,9 @@ import sys
 import time
 
 import octadimer
-from octadimer import (Region, build_region, build_system, solve_p,
-                       strip_region, total_coverings, tree_count)
+from octadimer import (Region, build_region, build_system, forests,
+                       initial_covering, slit_curves, solve_p, strip_region,
+                       total_coverings, tree_count)
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
@@ -77,16 +79,29 @@ def residual_ok(tri):
                for v in hp.faces)
 
 
+def forests_span(fp, g):
+    """Every white of g lies in exactly one tree, and each tree has
+    one edge fewer than it has vertices."""
+    trees = fp.primary + fp.dual
+    return (sorted(w for t in trees for w in t.vertices) == list(g.whites)
+            and all(len(t.edges) == len(t.vertices) - 1 for t in trees))
+
+
 def measure(name, region, repeats):
     t_region, tri = median_time(lambda: build_region(region), repeats)
     t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
     t_det, det = median_time(lambda: tree_count(system), repeats)
     t_total, total = median_time(lambda: total_coverings(tri), repeats)
+    m = initial_covering(tri)
+    t_curves, _ = median_time(lambda: slit_curves(m), repeats)
+    t_forests, fp = median_time(lambda: forests(m), repeats)
     return {"name": name, "faces": len(region.faces),
             "det_bits": det.bit_length(), "det": str(det),
             "total": str(total), "residual_ok": residual_ok(tri),
+            "forests_span": forests_span(fp, tri.g),
             "seconds": {"build_region": t_region, "build_system": t_system,
-                        "tree_count": t_det, "total_coverings": t_total}}
+                        "tree_count": t_det, "total_coverings": t_total,
+                        "slit_curves": t_curves, "forests": t_forests}}
 
 
 def strip_recurrence_ok(records):
@@ -131,8 +146,8 @@ def main(argv=None):
     repeats = 1 if args.quick else REPEATS
     regions = ladder(args.quick)
     records = [measure(name, region, repeats) for name, region in regions]
-    ok = strip_recurrence_ok(records) and all(r["residual_ok"]
-                                              for r in records)
+    ok = strip_recurrence_ok(records) and all(
+        r["residual_ok"] and r["forests_span"] for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),
                       "correct": ok, "regions": records}, indent=1))
     return 0 if ok else 1

@@ -4,21 +4,23 @@ Subcommands: build, enumerate, prob, moves, sample, render, selftest.
 Regions travel as {"faces": [[x,y],...], "f_star": [x,y],
 "v_star": [x,y]}, coverings as {"dimers": [[[x1,y1],[x2,y2]], ...]}.
 Every output is JSON with sorted keys (byte-deterministic) except
-render, which emits SVG.  Exit codes: 0 success, 2 validation failure,
-3 enumeration infeasible, 1 selftest failure.  Every InvalidInputError
-a command raises becomes exit 2 in main, at one place.
+render, which emits SVG.  Exit codes: 0 success, 2 validation failure
+or an output path that cannot be written, 3 enumeration infeasible, 1
+selftest failure.  Every InvalidInputError a command raises becomes
+exit 2 in main, at one place.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import kirchhoff, moves, oracle, render, sampler, slits, temperley
 from .covering import covering_from_obj, covering_to_obj, impurities
-from .lattice import (InvalidInputError, Region, build_region, edge,
-                      is_diagonal_edge, strip_region, ell_region)
+from .lattice import (InvalidInputError, Region, build_region,
+                      diagonal_edges, edge, strip_region, ell_region)
 
 
 def _emit(obj):
@@ -36,6 +38,14 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
+        _fail(2, type(exc).__name__, "%s: %s" % (path, exc))
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
         _fail(2, type(exc).__name__, "%s: %s" % (path, exc))
 
 
@@ -71,8 +81,8 @@ def cmd_build(args):
         "d_star": tri.h_perp.d_star,
         "e_star1": [list(v) for v in tri.e_star1],
         "e_star2": [list(v) for v in tri.e_star2],
-        "diagonal_edges": [[list(u), list(v)] for u, v in g.edges
-                           if is_diagonal_edge((u, v))],
+        "diagonal_edges": [[list(u), list(v)]
+                           for u, v in diagonal_edges(g)],
     })
 
 
@@ -96,9 +106,7 @@ def cmd_prob(args):
     tri = _load_region(args.region)
     counts = kirchhoff.region_counts(tri)
     edges = []
-    for e in tri.g.edges:
-        if not is_diagonal_edge(e):
-            continue
+    for e in diagonal_edges(tri.g):
         count = counts.at[kirchhoff.impurity_face(tri, e)]
         edges.append({
             "edge": [list(e[0]), list(e[1])],
@@ -124,9 +132,9 @@ def cmd_moves(args):
     m = (_load_covering(tri, args.covering) if args.covering
          else temperley.initial_covering(tri))
     found = moves.find_moves(m)
+    kinds = Counter(site[0] for site in moves.proposal_sites(tri.g))
     _emit({
-        "sites": {"squares": len(moves.unit_squares(tri.g)),
-                  "t_sites": len(moves.t_sites(tri.g))},
+        "sites": {"squares": kinds["s"], "t_sites": kinds["t"]},
         "count": len(found),
         "moves": [{"kind": mv.kind,
                    "removes": [[list(u), list(v)] for u, v in mv.removes],
@@ -141,14 +149,18 @@ def cmd_sample(args):
           else temperley.initial_covering(tri))
     cfg = sampler.ChainConfig(seed=args.seed, steps=args.steps,
                               burn_in=args.burn_in, sample_every=args.every)
+    if args.frames:
+        # before the chain runs, so a bad path costs no steps
+        try:
+            os.makedirs(args.frames, exist_ok=True)
+        except OSError as exc:
+            _fail(2, type(exc).__name__, "%s: %s" % (args.frames, exc))
     report = sampler.run(m0, cfg, keep_trajectory=bool(args.frames))
     if args.frames:
-        os.makedirs(args.frames, exist_ok=True)
         for i, dimers in enumerate(report.trajectory):
             m = covering_from_obj(tri.g, {"dimers": dimers})
-            path = os.path.join(args.frames, "frame_%06d.svg" % i)
-            with open(path, "w") as fh:
-                fh.write(render.render_covering(m))
+            _write(os.path.join(args.frames, "frame_%06d.svg" % i),
+                   render.render_covering(m))
     final_obj = covering_to_obj(report.final)
     final_obj["curves"] = [[list(p) for p in c.points]
                            for c in sorted(slits.slit_curves(report.final),
@@ -174,8 +186,7 @@ def cmd_render(args):
     svg = render.render_covering(m, show_slits=args.slits,
                                  show_forests=args.forests)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
+        _write(args.out, svg)
     else:
         sys.stdout.write(svg)
 

@@ -303,10 +303,6 @@ class DualGraph:
     def neighbors(self, v: Vertex):
         return self._adjacency[v]
 
-    def lattice_adjacent(self, u: Vertex, v: Vertex) -> bool:
-        dx, dy = abs(u[0] - v[0]), abs(u[1] - v[1])
-        return (dx, dy) in ((2, 0), (0, 2))
-
 
 class TemperleyTriple:
     """H, its full dual, the balanced bipartite graph N, and G."""

@@ -12,17 +12,23 @@ are never crossed.
 
 Chaining arcs through shared points gives the slit-curves.  Curve
 points are named by the doubled midpoint of the edge they sit on, so
-all the geometry stays in integers.  Removing the crossed edges from G
-leaves a forest whose blacks are degree-two pass-throughs or leaves;
-stripping the leaves and contracting the pass-throughs yields the
-primary forest on the even sublattice and the dual forest on the odd
-sublattice.
+all the geometry stays in integers.
+
+Cutting G along the curves severs every diagonal with a flanking black
+in G and every unit edge perpendicular to a dimer, so each black keeps
+its dimer edge and, if present, the edge opposite it.  The cut is
+local, and forests reads it off the dimers without drawing a curve:
+each pass-through black contracts to a tree edge, the local form of
+the generalised Temperley bijection (Kenyon, Propp and Wilson, "Trees
+and matchings", 2000).  The primary forest lies on the even
+sublattice, the dual forest on the odd one.
 """
 
 from dataclasses import dataclass
 
 from .covering import DimerCovering, impurities
-from .lattice import Edge, Vertex, edge, is_diagonal_edge
+from .lattice import (Edge, Vertex, diagonal_edges, edge, flanking_blacks,
+                      reach)
 
 CCW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -168,71 +174,40 @@ def slit_curves(m: DimerCovering):
     return frozenset(curves)
 
 
-def _curve_diag_points(curves):
-    # Diagonal midpoints have two odd doubled coordinates; unit
-    # midpoints have exactly one.
-    out = set()
-    for c in curves:
-        for p in c.points:
-            if p[0] % 2 and p[1] % 2:
-                out.add(p)
-    return out
+def forests(m: DimerCovering) -> ForestPair:
+    """The primary and dual forests of m, read off its dimers.
 
-
-def forests(m: DimerCovering, curves=None) -> ForestPair:
-    """Cut G along the slit-curves of m and contract to Lambda trees."""
+    Each black b whose opposite white is in G gives the tree edge
+    {mate(b), opposite white}: the path through b that the cut along
+    the slit-curves leaves.  A diagonal with no flanking black in G is
+    crossed by no curve and raises ResidualDiagonalError.
+    """
     g = m.graph
-    if curves is None:
-        curves = slit_curves(m)
-    crossed = crossed_unit_edges(m)
-    touched_diagonals = _curve_diag_points(curves)
-
-    for e in g.edges:
-        if is_diagonal_edge(e) and _doubled_mid(*e) not in touched_diagonals:
+    for e in diagonal_edges(g):
+        if not any(b in g.vertex_set for b in flanking_blacks(e)):
             raise ResidualDiagonalError(
                 "diagonal edge %r is missed by every slit-curve" % (e,))
 
-    # Each black keeps its dimer edge plus, when the opposite white is
-    # present, the edge opposite the dimer; contract those length-two
-    # paths to single sublattice edges.
-    parent = {w: w for w in g.whites}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    contracted = []
+    adjacency = {w: [] for w in g.whites}
     for b in g.blacks:
-        x, y = b
         w = m.mate(b)
-        opposite = (2 * x - w[0], 2 * y - w[1])
-        if opposite not in g.vertex_set:
-            continue  # black leaf; drop it with its dimer edge
-        if edge(b, opposite) in crossed or edge(b, w) in crossed:
-            raise StructureError("a dimer-adjacent edge was crossed")
-        e = edge(w, opposite)
-        contracted.append(e)
-        ru, rv = find(e[0]), find(e[1])
-        if ru == rv:
-            raise CycleDetectedError(
-                "slit-curve removal left a cycle through %r" % (b,))
-        parent[ru] = rv
+        opposite = (2 * b[0] - w[0], 2 * b[1] - w[1])
+        if opposite in g.vertex_set:
+            adjacency[w].append(opposite)
+            adjacency[opposite].append(w)
 
-    groups = {}
-    for w in g.whites:
-        groups.setdefault(find(w), set()).add(w)
-    edges_by_root = {}
-    for e in contracted:
-        edges_by_root.setdefault(find(e[0]), set()).add(e)
     primary, dual = [], []
-    for root, vs in groups.items():
-        tree = Tree(frozenset(vs), frozenset(edges_by_root.get(root, ())))
-        if min(vs)[0] % 2 == 0:
-            primary.append(tree)
-        else:
-            dual.append(tree)
+    seen = set()
+    for w in g.whites:
+        if w in seen:
+            continue
+        vs = frozenset(reach((w,), adjacency.__getitem__))
+        seen |= vs
+        es = frozenset(edge(u, v) for u in vs for v in adjacency[u])
+        if len(es) != len(vs) - 1:
+            raise CycleDetectedError(
+                "the contracted forest has a cycle through %r" % (w,))
+        (primary if w[0] % 2 == 0 else dual).append(Tree(vs, es))
     return ForestPair(tuple(sorted(primary, key=Tree.sort_key)),
                       tuple(sorted(dual, key=Tree.sort_key)))
 

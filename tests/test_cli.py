@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from octadimer import cli, kirchhoff
+from octadimer import cli, kirchhoff, sampler
 
 ELL = {"faces": [[1, 1], [1, 3], [3, 1]], "f_star": [3, 3], "v_star": [2, 4]}
 STRIP1 = {"faces": [[1, 1]], "f_star": [3, 1], "v_star": [2, 2]}
@@ -147,6 +147,26 @@ def test_sample_frames(capsys, tmp_path, strip_file):
     files = sorted(f.name for f in frames.iterdir())
     assert files == ["frame_%06d.svg" % i for i in range(4)]
     ET.parse(frames / files[0])
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("sample", "--seed", "1", "--steps", "3", "--frames", "{file}"),
+     "FileExistsError"),
+    (("render", "-o", "{missing}/x.svg"), "FileNotFoundError"),
+])
+def test_unwritable_output_path_exits_2(capsys, monkeypatch, tmp_path,
+                                        ell_file, argv, error):
+    # the frames directory is made before the chain, which never runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampler.run was called")
+    monkeypatch.setattr(sampler, "run", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [a.format(file=taken, missing=tmp_path / "missing")
+            for a in argv]
+    code, obj = run_cli_fail(capsys, argv[0], ell_file, *argv[1:])
+    assert code == 2
+    assert obj["error"] == error
 
 
 def test_render(capsys, tmp_path, ell_file):

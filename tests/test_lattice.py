@@ -156,8 +156,6 @@ def test_dual_graph_is_full_multigraph(ell):
     assert len(hp.dual_edges) == len(ell.h_edges)
     assert hp.d_star == len(hp.l_edges) == 2
     assert hp.vertices == hp.faces + (ell.f_star,)
-    assert hp.lattice_adjacent((1, 1), (1, 3))
-    assert not hp.lattice_adjacent((1, 3), (3, 1))
 
 
 def test_region_validation_errors():

@@ -13,7 +13,7 @@ of the four impurity curves.
 import pytest
 
 from octadimer.covering import impurities, validate_covering
-from octadimer.lattice import build_normal_graph, is_unit_edge
+from octadimer.lattice import build_normal_graph, edge, is_unit_edge
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
 from octadimer.slits import (CycleDetectedError, NoCurveError,
@@ -90,20 +90,31 @@ def test_arcs_count(diamond):
     assert len({(a.diag_point, a.unit_point) for a in arcs}) == len(arcs)
 
 
-def test_diamond_crossed_edges(diamond):
-    xs = crossed_unit_edges(diamond)
-    assert xs == DIAMOND_CROSSED
-    assert all(is_unit_edge(e) for e in xs)
-    # crossed edges at a black are exactly those perpendicular to its dimer
-    for b in diamond.graph.blacks:
-        w = diamond.mate(b)
-        dx, dy = w[0] - b[0], w[1] - b[1]
-        if abs(dx) + abs(dy) != 1:
-            continue  # b matched along a unit edge always, but be safe
-        for e in xs:
-            if b in e:
-                o = e[0] if e[1] == b else e[1]
-                assert (o[0] - b[0]) * dx + (o[1] - b[1]) * dy == 0
+@pytest.mark.parametrize("source", ["diamond", "ell_coverings"])
+def test_diamond_crossed_edges(request, source):
+    # the cut is local: at each black the crossed edges are exactly
+    # those perpendicular to its dimer, and contracting the uncrossed
+    # ones through the black gives the tree edges of the forests
+    coverings = request.getfixturevalue(source)
+    if source == "diamond":
+        assert crossed_unit_edges(coverings) == DIAMOND_CROSSED
+        coverings = [coverings]
+    for m in coverings:
+        g = m.graph
+        xs = crossed_unit_edges(m)
+        assert all(is_unit_edge(e) for e in xs)
+        contracted = set()
+        for b in g.blacks:
+            w = m.mate(b)
+            opposite = (2 * b[0] - w[0], 2 * b[1] - w[1])
+            assert edge(b, w) not in xs and edge(b, opposite) not in xs
+            kept = {u for u in g.neighbors(b) if edge(b, u) not in xs}
+            assert kept == {w, opposite} & g.vertex_set
+            if len(kept) == 2:
+                contracted.add(edge(*kept))
+        fp = forests(m)
+        assert contracted == {e for t in fp.primary + fp.dual
+                              for e in t.edges}
 
 
 def test_diamond_curves(diamond):
