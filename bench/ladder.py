@@ -1,14 +1,20 @@
-"""Per-layer timings of the counting and slit paths over a region ladder.
+"""Per-layer timings of the counting, slit, chain and t-class paths over
+a region ladder.
 
 Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
-and kirchhoff.total_coverings, and slits.slit_curves and slits.forests
-on the region's initial_covering, on strips n = 1..8 and k x k squares
-(faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of
-five calls, and checks every region's answers: the strip determinants
-follow a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every
-region the counts N = |det A| p from solve_p satisfy A N = |det A| b,
-with A and b rebuilt from the dual graph, not from the system under
-test; and the forest pair splits G's whites into trees.
+and kirchhoff.total_coverings, slits.slit_curves and slits.forests on
+the region's initial_covering, sampler.run (seed 1, 20 000 steps, also
+given as steps per second) from it, and moves.t_class on that run's
+final covering, on strips n = 1..8 and k x k squares (faces
+(2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of five
+calls after one untimed call of the chain and t_class, so the per-graph
+site lists are built.  It checks every region's answers: the strip
+determinants follow a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0;
+on every region the counts N = |det A| p from solve_p satisfy
+A N = |det A| b, with A and b rebuilt from the dual graph, not from the
+system under test; the forest pair splits G's whites into trees; and
+the t-class has 4(|T*| - 1) + d* + 1 members, T* being
+slits.enclosed_dual_tree of the final covering's impurity curve.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -34,14 +40,17 @@ import sys
 import time
 
 import octadimer
-from octadimer import (Region, build_region, build_system, forests,
-                       initial_covering, slit_curves, solve_p, strip_region,
-                       total_coverings, tree_count)
+from octadimer import (ChainConfig, Region, build_region, build_system,
+                       enclosed_dual_tree, forests, impurities,
+                       impurity_curve, initial_covering, run, slit_curves,
+                       solve_p, strip_region, t_class, total_coverings,
+                       tree_count)
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
 QUICK_SQUARES = (4, 8)
 REPEATS = 5
+CHAIN = ChainConfig(seed=1, steps=20000)
 
 
 def square_region(k):
@@ -87,6 +96,13 @@ def forests_span(fp, g):
             and all(len(t.edges) == len(t.vertices) - 1 for t in trees))
 
 
+def t_class_size_ok(tri, m, size):
+    """|t-class of m| == 4(|T*| - 1) + d* + 1."""
+    e, = impurities(m)
+    tree = enclosed_dual_tree(impurity_curve(m, e), forests(m))
+    return size == 4 * (len(tree.vertices) - 1) + tri.h_perp.d_star + 1
+
+
 def measure(name, region, repeats):
     t_region, tri = median_time(lambda: build_region(region), repeats)
     t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
@@ -95,13 +111,21 @@ def measure(name, region, repeats):
     m = initial_covering(tri)
     t_curves, _ = median_time(lambda: slit_curves(m), repeats)
     t_forests, fp = median_time(lambda: forests(m), repeats)
+    final = run(m, CHAIN).final
+    t_class(final)
+    t_chain, _ = median_time(lambda: run(m, CHAIN), repeats)
+    t_t_class, cls = median_time(lambda: t_class(final), repeats)
     return {"name": name, "faces": len(region.faces),
             "det_bits": det.bit_length(), "det": str(det),
             "total": str(total), "residual_ok": residual_ok(tri),
             "forests_span": forests_span(fp, tri.g),
+            "chain_steps_per_s": CHAIN.steps / t_chain,
+            "t_class_size": len(cls),
+            "t_class_ok": t_class_size_ok(tri, final, len(cls)),
             "seconds": {"build_region": t_region, "build_system": t_system,
                         "tree_count": t_det, "total_coverings": t_total,
-                        "slit_curves": t_curves, "forests": t_forests}}
+                        "slit_curves": t_curves, "forests": t_forests,
+                        "chain_run": t_chain, "t_class": t_t_class}}
 
 
 def strip_recurrence_ok(records):
@@ -147,7 +171,8 @@ def main(argv=None):
     regions = ladder(args.quick)
     records = [measure(name, region, repeats) for name, region in regions]
     ok = strip_recurrence_ok(records) and all(
-        r["residual_ok"] and r["forests_span"] for r in records)
+        r["residual_ok"] and r["forests_span"] and r["t_class_ok"]
+        for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),
                       "correct": ok, "regions": records}, indent=1))
     return 0 if ok else 1

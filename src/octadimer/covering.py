@@ -5,8 +5,10 @@ impurities and their number equals (|W_G| - |B_G|) / 2 independently of
 the covering.
 """
 
+from types import MappingProxyType
+
 from .lattice import (Edge, InvalidInputError, RegionError, Vertex, _point,
-                      edge, is_diagonal_edge)
+                      is_diagonal_edge)
 
 
 class CoveringError(InvalidInputError):
@@ -52,6 +54,10 @@ class DimerCovering:
     def mate_map(self) -> dict:
         return dict(self._mate)
 
+    def mate_view(self):
+        """The mate map as a read-only view, without copying it."""
+        return MappingProxyType(self._mate)
+
     def __eq__(self, other):
         return isinstance(other, DimerCovering) and self.dimers == other.dimers
 
@@ -72,20 +78,28 @@ def validate_covering(g, dimers) -> DimerCovering:
     canonical = []
     own_edges = g.own_edges
     for u, v in dimers:
-        key = edge(tuple(u), tuple(v))
+        u = tuple(u)
+        v = tuple(v)
+        key = (u, v) if u <= v else (v, u)
         e = own_edges.get(key)
         if e is None:
             raise ForeignEdgeError(key)
-        for w in e:
-            if w in mate:
-                raise DoublyCoveredVertexError(w)
-        mate[e[0]] = e[1]
-        mate[e[1]] = e[0]
+        a, b = e
+        if a in mate:
+            raise DoublyCoveredVertexError(a)
+        if b in mate:
+            raise DoublyCoveredVertexError(b)
+        mate[a] = b
+        mate[b] = a
         canonical.append(e)
-    for v in g.vertices:
-        if v not in mate:
-            raise UncoveredVertexError(v)
-    return DimerCovering(g, tuple(sorted(canonical)), mate)
+    # mate holds only g's vertices, each once, so the sizes agree exactly
+    # when every vertex is covered; the scan just names the first gap
+    if len(mate) != len(g.vertices):
+        for v in g.vertices:
+            if v not in mate:
+                raise UncoveredVertexError(v)
+    canonical.sort()
+    return DimerCovering(g, tuple(canonical), mate)
 
 
 def expected_impurity_count(g) -> int:

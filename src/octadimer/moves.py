@@ -8,9 +8,10 @@ makes a uniform random choice over sites a symmetric proposal kernel.
 """
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .covering import DimerCovering, validate_covering
+from .covering import DimerCovering, impurities, validate_covering
 from .lattice import InvalidInputError, Vertex, edge, reach
 
 
@@ -125,45 +126,104 @@ def site_move(mate, site):
     return None
 
 
-def find_moves(m: DimerCovering):
-    """All moves applicable to m, sorted by (kind, removed edges)."""
-    mate = m.mate_map()
-    out = []
-    for site in proposal_sites(m.graph):
+# graph -> {diagonal edge: the t-sites whose {a,b} or {b,c} it is}
+_T_INDEX = weakref.WeakKeyDictionary()
+
+
+def _t_site_index(g):
+    """The t-sites of g indexed by their two diagonal edges.
+
+    A t-site supports a move only while one of its diagonals is a dimer,
+    so a covering's t-moves are all at the sites indexed under its
+    impurities.  Built once per graph object from proposal_sites.
+    """
+    index = _T_INDEX.get(g)
+    if index is None:
+        index = {}
+        for site in proposal_sites(g):
+            if site[0] == "t":
+                _, a, b, c, _ = site
+                index.setdefault(edge(a, b), []).append(site)
+                index.setdefault(edge(b, c), []).append(site)
+        _T_INDEX[g] = index
+    return index
+
+
+def _moves(m: DimerCovering, sites):
+    """The moves that sites support under m, in site order."""
+    mate = m.mate_view()
+    for site in sites:
         mv = site_move(mate, site)
         if mv is not None:
-            out.append(LocalMove(site[0], *mv))
-    return sorted(out, key=LocalMove.sort_key)
+            yield LocalMove(site[0], *mv)
+
+
+def find_moves(m: DimerCovering):
+    """All moves applicable to m, sorted by (kind, removed edges)."""
+    return sorted(_moves(m, proposal_sites(m.graph)), key=LocalMove.sort_key)
 
 
 def apply_move(m: DimerCovering, mv: LocalMove) -> DimerCovering:
-    """Apply mv to m, returning a new validated covering."""
+    """Apply mv to m, returning a new validated covering.
+
+    This is the one way a move becomes a covering: the new dimers go
+    through validate_covering.  They are m's sorted dimers less the two
+    removed and plus the two added, so its sort is nearly linear.
+    """
     r1, r2 = mv.removes
-    dimers = set(m.dimers)
-    if r1 not in dimers or r2 not in dimers:
+    mate = m.mate_view()
+    if r1 == r2 or mate.get(mv.a) != mv.b or mate.get(mv.c) != mv.d:
         raise InapplicableMoveError("move removes edges not present in m")
-    dimers.remove(r1)
-    dimers.remove(r2)
-    dimers.update(mv.adds)
+    i, j = sorted((bisect_left(m.dimers, r1), bisect_left(m.dimers, r2)))
+    dimers = list(m.dimers)
+    del dimers[j]
+    del dimers[i]
+    dimers += mv.adds
     return validate_covering(m.graph, dimers)
 
 
 def t_class(m: DimerCovering):
-    """The full t-equivalence class of m."""
-    return reach([m], lambda cur: [apply_move(cur, mv)
-                                   for mv in find_moves(cur)
-                                   if mv.kind == "t"])
+    """The full t-equivalence class of m.
+
+    A t-move (a, b, c, d) from site_move removes the impurity {a,b} and
+    adds the impurity {b,c}, so each member's impurities are carried
+    along the walk and its t-moves are read off the diagonal index.
+    """
+    index = _t_site_index(m.graph)
+    impurity_sets = {m: frozenset(impurities(m))}
+
+    def neighbors(cur):
+        held = impurity_sets[cur]
+        out = []
+        for mv in _moves(cur, [site for e in held
+                               for site in index.get(e, ())]):
+            nxt = apply_move(cur, mv)
+            if nxt not in impurity_sets:
+                impurity_sets[nxt] = held - {mv.removes[0]} | {mv.adds[0]}
+            out.append(nxt)
+        return out
+
+    return reach([m], neighbors)
+
+
+class IncompleteCoveringSetError(InvalidInputError):
+    """The coverings given to t_classes are not closed under t-moves."""
 
 
 def t_classes(coverings):
-    """Partition coverings into t-equivalence classes."""
+    """Partition coverings into t-equivalence classes.
+
+    Classes come in the order of their least member's dimers.
+    """
     remaining = set(coverings)
     classes = []
-    while remaining:
-        m = min(remaining, key=lambda c: c.dimers)
+    for m in sorted(remaining, key=lambda c: c.dimers):
+        if m not in remaining:
+            continue
         cls = t_class(m)
         if not cls <= remaining:
-            raise AssertionError("t-class escapes the supplied covering set")
+            raise IncompleteCoveringSetError(
+                "t-class escapes the supplied covering set")
         remaining -= cls
         classes.append(cls)
     return classes
@@ -176,6 +236,7 @@ def move_graph_connected(g, coverings=None) -> bool:
         coverings = enumerate_coverings(g)
     if not coverings:
         return True
+    sites = proposal_sites(g)
     seen = reach(coverings[:1], lambda cur: [apply_move(cur, mv)
-                                             for mv in find_moves(cur)])
+                                             for mv in _moves(cur, sites)])
     return len(seen) == len(coverings)

@@ -64,7 +64,7 @@ def step(m: DimerCovering, rng: random.Random) -> DimerCovering:
     """One lazy chain step from m; returns m itself on a hold."""
     sites = proposal_sites(m.graph)
     site = sites[rng.randrange(len(sites))]
-    mv = site_move(m.mate_map(), site)
+    mv = site_move(m.mate_view(), site)
     if mv is None:
         return m
     return apply_move(m, LocalMove(site[0], *mv))

@@ -125,16 +125,6 @@ def arcs_of(m: DimerCovering):
     return out
 
 
-def crossed_unit_edges(m: DimerCovering):
-    """The unit edges of G crossed by some slit-curve of m."""
-    out = set()
-    for arc in arcs_of(m):
-        px, py = arc.unit_point
-        cx, cy = arc.center
-        out.add(edge(arc.center, (px - cx, py - cy)))
-    return out
-
-
 def slit_curves(m: DimerCovering):
     """The set of slit-curves of m, each in canonical direction."""
     grid = {}

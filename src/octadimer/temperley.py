@@ -130,7 +130,11 @@ def pi(tri: TemperleyTriple, m: DimerCovering) -> DimerCovering:
     The class contains exactly one member whose impurity is e*1; strip
     f*, v* and that impurity from it.
     """
-    hits = [c for c in t_class(m) if tri.e_star1 in c.dimers]
+    return _project(tri, t_class(m))
+
+
+def _project(tri, cls):
+    hits = [c for c in cls if tri.e_star1 in c.dimers]
     if len(hits) != 1:
         raise BijectionError(
             "t-class carries %d coverings with impurity e*1" % len(hits))
@@ -148,7 +152,7 @@ def class_bijection(tri: TemperleyTriple, coverings) -> dict:
     classes = {}
     for cls in t_classes(coverings):
         rep = min(cls, key=lambda c: c.dimers)
-        classes[rep] = phi(tri, pi(tri, rep))
+        classes[rep] = phi(tri, _project(tri, cls))
     trees = list(classes.values())
     if len({t.edges for t in trees}) != len(trees):
         raise BijectionError("two t-classes mapped to the same tree")

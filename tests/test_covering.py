@@ -85,3 +85,15 @@ def test_dimers_hold_plain_int_points(ell, one):
     assert m2 == m
     assert all(type(c) is int for e in m2.dimers for p in e for c in p)
     assert all(type(c) is int for p in m2.mate_map() for c in p)
+
+
+def test_mate_view_is_read_only(ell):
+    m = initial_covering(ell)
+    view = m.mate_view()
+    assert dict(view) == m.mate_map()
+    v = m.dimers[0][0]
+    with pytest.raises(TypeError):
+        view[v] = v
+    copy = m.mate_map()
+    copy[v] = v
+    assert m.mate(v) != v

@@ -29,7 +29,7 @@ from octadimer.lattice import (BLACK, W0, W1, ComplementNotConnectedError,
                                build_region, classify_vertex, diagonal_edges,
                                edge, gamma_neighbors, is_black, is_white,
                                reach, strip_region)
-from octadimer.moves import apply_move, find_moves
+from octadimer.moves import apply_move, find_moves, t_class
 from octadimer.oracle import enumerate_coverings, impurity_histogram
 from octadimer.sampler import ChainConfig, run
 from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
@@ -39,6 +39,7 @@ from strategies import regions
 from test_cli import STRIP1
 from test_kirchhoff import assert_matches_reference
 from test_lattice import face_neighbors, flood_has_hole
+from test_moves import reference_t_class
 
 points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -145,6 +146,13 @@ def test_chain_stays_valid(tri, seed):
     rep = run(m0, ChainConfig(seed=seed, steps=300))
     assert len(impurities(rep.final)) == 1
     assert rep.final.graph is tri.g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(regions(), st.integers(0, 2 ** 31), st.integers(0, 400))
+def test_t_class_matches_reference_walk(tri, seed, steps):
+    m = run(initial_covering(tri), ChainConfig(seed=seed, steps=steps)).final
+    assert t_class(m) == reference_t_class(m)
 
 
 @st.composite

@@ -18,11 +18,22 @@ from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
 from octadimer.slits import (CycleDetectedError, NoCurveError,
                              ResidualDiagonalError, StructureError,
-                             arcs_of, crossed_unit_edges, enclosed_dual_tree,
-                             forests, impurity_curve, slit_curves)
+                             arcs_of, enclosed_dual_tree, forests,
+                             impurity_curve, slit_curves)
 from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
+
+
+def crossed_unit_edges(m):
+    """The unit edges of G crossed by some slit-curve of m."""
+    out = set()
+    for arc in arcs_of(m):
+        px, py = arc.unit_point
+        cx, cy = arc.center
+        out.add(edge(arc.center, (px - cx, py - cy)))
+    return out
+
 
 DIAMOND_CROSSED = {
     ((1, -1), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1)),
