@@ -4,17 +4,21 @@ a region ladder.
 Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
 and kirchhoff.total_coverings, slits.slit_curves and slits.forests on
 the region's initial_covering, sampler.run (seed 1, 20 000 steps, also
-given as steps per second) from it, and moves.t_class on that run's
-final covering, on strips n = 1..8 and k x k squares (faces
-(2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of five
-calls after one untimed call of the chain and t_class, so the per-graph
-site lists are built.  It checks every region's answers: the strip
-determinants follow a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0;
-on every region the counts N = |det A| p from solve_p satisfy
-A N = |det A| b, with A and b rebuilt from the dual graph, not from the
-system under test; the forest pair splits G's whites into trees; and
-the t-class has 4(|T*| - 1) + d* + 1 members, T* being
-slits.enclosed_dual_tree of the final covering's impurity curve.
+given as steps per second) from it, and slits.slit_curves and
+moves.t_class on that run's final covering, on strips n = 1..8 and
+k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each
+the median of five calls after one untimed call of the chain and
+t_class, so the per-graph site lists are built.  It checks every
+region's answers: the strip determinants follow
+a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every region the
+counts N = |det A| p from solve_p satisfy A N = |det A| b, with A and b
+rebuilt from the dual graph, not from the system under test; the
+forest pair splits G's whites into trees; the slit-curves of both
+coverings use every arc, one per (black, corner with both whites in G)
+pair counted from G alone, and each impurity's diagonal midpoint lies
+on exactly one of them; and the t-class has 4(|T*| - 1) + d* + 1
+members, T* being slits.enclosed_dual_tree of the final covering's
+impurity curve.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -96,6 +100,25 @@ def forests_span(fp, g):
             and all(len(t.edges) == len(t.vertices) - 1 for t in trees))
 
 
+def arc_count(g):
+    """The (black, corner with both whites in g) pairs: one arc each."""
+    vs = g.vertex_set
+    n = 0
+    for x, y in g.blacks:
+        ring = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
+        n += sum(ring[i - 1] in vs and ring[i] in vs for i in range(4))
+    return n
+
+
+def curves_ok(m, curves):
+    """The curves use every arc, and each impurity's diagonal midpoint
+    lies on exactly one of them."""
+    if sum(len(c) - 1 for c in curves) != arc_count(m.graph):
+        return False
+    mids = [(u[0] + v[0], u[1] + v[1]) for u, v in impurities(m)]
+    return all(sum(p in c.points for c in curves) == 1 for p in mids)
+
+
 def t_class_size_ok(tri, m, size):
     """|t-class of m| == 4(|T*| - 1) + d* + 1."""
     e, = impurities(m)
@@ -109,23 +132,29 @@ def measure(name, region, repeats):
     t_det, det = median_time(lambda: tree_count(system), repeats)
     t_total, total = median_time(lambda: total_coverings(tri), repeats)
     m = initial_covering(tri)
-    t_curves, _ = median_time(lambda: slit_curves(m), repeats)
+    t_curves, curves = median_time(lambda: slit_curves(m), repeats)
     t_forests, fp = median_time(lambda: forests(m), repeats)
     final = run(m, CHAIN).final
     t_class(final)
     t_chain, _ = median_time(lambda: run(m, CHAIN), repeats)
+    t_final_curves, final_curves = median_time(lambda: slit_curves(final),
+                                               repeats)
     t_t_class, cls = median_time(lambda: t_class(final), repeats)
     return {"name": name, "faces": len(region.faces),
             "det_bits": det.bit_length(), "det": str(det),
             "total": str(total), "residual_ok": residual_ok(tri),
             "forests_span": forests_span(fp, tri.g),
+            "curves_ok": (curves_ok(m, curves)
+                          and curves_ok(final, final_curves)),
             "chain_steps_per_s": CHAIN.steps / t_chain,
             "t_class_size": len(cls),
             "t_class_ok": t_class_size_ok(tri, final, len(cls)),
             "seconds": {"build_region": t_region, "build_system": t_system,
                         "tree_count": t_det, "total_coverings": t_total,
                         "slit_curves": t_curves, "forests": t_forests,
-                        "chain_run": t_chain, "t_class": t_t_class}}
+                        "chain_run": t_chain,
+                        "slit_curves_final": t_final_curves,
+                        "t_class": t_t_class}}
 
 
 def strip_recurrence_ok(records):
@@ -171,7 +200,8 @@ def main(argv=None):
     regions = ladder(args.quick)
     records = [measure(name, region, repeats) for name, region in regions]
     ok = strip_recurrence_ok(records) and all(
-        r["residual_ok"] and r["forests_span"] and r["t_class_ok"]
+        r["residual_ok"] and r["forests_span"] and r["curves_ok"]
+        and r["t_class_ok"]
         for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),
                       "correct": ok, "regions": records}, indent=1))

@@ -72,18 +72,26 @@ def validate_covering(g, dimers) -> DimerCovering:
     """Check that dimers is a perfect matching of g and wrap it.
 
     The covering keeps g's own edge tuples, so its dimers hold plain-int
-    points whatever equal-comparing coordinates the caller passed.
+    points whatever equal-comparing coordinates the caller passed.  A
+    dimer is looked up as given first; lists and the reversed order are
+    normalized only when that misses.
     """
     mate = {}
     canonical = []
     own_edges = g.own_edges
-    for u, v in dimers:
-        u = tuple(u)
-        v = tuple(v)
-        key = (u, v) if u <= v else (v, u)
-        e = own_edges.get(key)
+    for d in dimers:
+        try:
+            e = own_edges.get(d)
+        except TypeError:  # unhashable, such as a list of lists
+            e = None
         if e is None:
-            raise ForeignEdgeError(key)
+            u, v = d
+            u = tuple(u)
+            v = tuple(v)
+            key = (u, v) if u <= v else (v, u)
+            e = own_edges.get(key)
+            if e is None:
+                raise ForeignEdgeError(key)
         a, b = e
         if a in mate:
             raise DoublyCoveredVertexError(a)

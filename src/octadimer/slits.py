@@ -30,8 +30,6 @@ from .covering import DimerCovering, impurities
 from .lattice import (Edge, Vertex, diagonal_edges, edge, flanking_blacks,
                       reach)
 
-CCW = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
 
 class StructureError(RuntimeError):
     """A structural impossibility surfaced; used as a test sentinel."""
@@ -59,15 +57,6 @@ class NoCurveError(StructureError):
 
 def _doubled_mid(u: Vertex, v: Vertex):
     return (u[0] + v[0], u[1] + v[1])
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A quarter arc around center joining two curve points."""
-
-    center: Vertex
-    diag_point: tuple  # doubled midpoint of the diagonal {w_i, w_{i+1}}
-    unit_point: tuple  # doubled midpoint of the crossed unit edge
 
 
 @dataclass(frozen=True)
@@ -103,64 +92,62 @@ class ForestPair:
     dual: tuple     # trees on W1
 
 
-def arcs_of(m: DimerCovering):
-    """Every quarter arc generated by the covering m."""
+def _arc_ends(m: DimerCovering):
+    """(center, diag_point, unit_point) of every quarter arc of m."""
     g = m.graph
-    out = []
+    vs = g.vertex_set
+    mate = m.mate_view()
     for b in g.blacks:
         x, y = b
-        ring = [(x + dx, y + dy) for dx, dy in CCW]
-        partner = m.mate(b)
-        j = ring.index(partner)
+        ring = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))  # CCW
+        present = tuple(map(vs.__contains__, ring))
+        j = ring.index(mate[b])
         for i in range(4):
-            wi, wk = ring[i], ring[(i + 1) % 4]
-            if wi not in g.vertex_set or wk not in g.vertex_set:
-                continue
-            if (j - i) % 4 in (1, 3):
-                center = wi
-            else:
-                center = wk
-            out.append(Arc(center, _doubled_mid(wi, wk),
-                           _doubled_mid(center, b)))
-    return out
+            k = (i + 1) % 4
+            if present[i] and present[k]:
+                wi, wk = ring[i], ring[k]
+                # the dimer at w_{i+1} or w_{i+3}: bend around w_i
+                center = wi if (j - i) % 2 else wk
+                yield (center, (wi[0] + wk[0], wi[1] + wk[1]),
+                       (center[0] + x, center[1] + y))
 
 
 def slit_curves(m: DimerCovering):
     """The set of slit-curves of m, each in canonical direction."""
-    grid = {}
-    for arc in arcs_of(m):
-        for p in (arc.diag_point, arc.unit_point):
-            grid.setdefault(p, []).append(arc)
-    for p, arcs in grid.items():
-        if len(arcs) > 2:
+    nbrs = {}
+    arcs = 0
+    for _, p, q in _arc_ends(m):
+        nbrs.setdefault(p, []).append(q)
+        nbrs.setdefault(q, []).append(p)
+        arcs += 1
+    for p, ns in nbrs.items():
+        if len(ns) > 2:
             raise SlitCrossingError("curve point %r has degree %d"
-                                    % (p, len(arcs)))
+                                    % (p, len(ns)))
 
-    unused = set()
-    for arcs in grid.values():
-        unused.update(arcs)
+    # every open curve runs between two points of degree 1; arcs that
+    # no such walk uses lie on closed loops
     curves = []
-    for start in sorted(grid):
-        if len(grid[start]) != 1:
+    ends = set()
+    used = 0
+    for start, ns in nbrs.items():
+        if len(ns) != 1 or start in ends:
             continue
-        arc = grid[start][0]
-        if arc not in unused:
-            continue
-        points = [start]
-        while True:
-            unused.discard(arc)
-            nxt = (arc.unit_point if points[-1] == arc.diag_point
-                   else arc.diag_point)
-            points.append(nxt)
-            following = [a for a in grid[nxt] if a in unused]
-            if not following:
-                break
-            arc = following[0]
-        if points[-1] < points[0]:
+        prev, point = start, ns[0]
+        points = [start, point]
+        ns = nbrs[point]
+        while len(ns) == 2:
+            a, b = ns
+            prev, point = point, (b if a == prev else a)
+            points.append(point)
+            ns = nbrs[point]
+        ends.add(point)
+        used += len(points) - 1
+        if point < start:
             points.reverse()
         curves.append(SlitCurve(tuple(points)))
-    if unused:
-        raise SlitLoopError("%d arcs form closed loops" % len(unused))
+    if used != arcs:
+        raise SlitLoopError("%d arcs form closed loops" % (arcs - used))
     return frozenset(curves)
 
 

@@ -36,8 +36,9 @@ def test_dimers_canonicalized():
 
 def test_validation_errors():
     g = unit_square_graph()
-    with pytest.raises(UncoveredVertexError):
+    with pytest.raises(UncoveredVertexError) as exc:
         validate_covering(g, [((0, 0), (1, 0))])
+    assert exc.value.vertex == (0, 1)  # the first gap in vertex order
     with pytest.raises(DoublyCoveredVertexError):
         validate_covering(g, [((0, 0), (1, 0)), ((0, 0), (0, 1)),
                               ((1, 0), (1, 1))])
@@ -83,8 +84,41 @@ def test_dimers_hold_plain_int_points(ell, one):
     assert any(type(c) is not int for e in swapped for p in e for c in p)
     m2 = validate_covering(ell.g, swapped)
     assert m2 == m
+    assert all(e is ell.g.own_edges[e] for e in m2.dimers)
     assert all(type(c) is int for e in m2.dimers for p in e for c in p)
     assert all(type(c) is int for p in m2.mate_map() for c in p)
+
+
+FORMS = {
+    "lists": lambda u, v: [list(u), list(v)],
+    "tuple_of_lists": lambda u, v: (list(u), list(v)),
+    "reversed": lambda u, v: (v, u),
+}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_validate_covering_input_forms(ell, form):
+    # dimers are looked up as given first; every other form falls back
+    # to the normalized key and still yields the graph's own tuples
+    m = initial_covering(ell)
+    m2 = validate_covering(ell.g, [FORMS[form](u, v) for u, v in m.dimers])
+    assert m2.dimers == m.dimers
+    own = ell.g.own_edges
+    assert all(e is own[e] for e in m2.dimers)
+    assert all(m2.mate(a) is b and m2.mate(b) is a for a, b in m2.dimers)
+
+
+def test_validation_error_order():
+    # errors are raised at the first bad dimer in the order given
+    g = unit_square_graph()
+    double = [((0, 0), (1, 0)), ((0, 0), (0, 1))]
+    foreign = [[[2, 0], [0, 0]]]
+    with pytest.raises(DoublyCoveredVertexError) as exc:
+        validate_covering(g, double + foreign)
+    assert exc.value.vertex == (0, 0)
+    with pytest.raises(ForeignEdgeError) as exc:
+        validate_covering(g, foreign + double)
+    assert exc.value.edge == ((0, 0), (2, 0))
 
 
 def test_mate_view_is_read_only(ell):

@@ -7,7 +7,9 @@ every randomized identity below is checked exactly.  The integer
 elimination is also compared with the Fraction reference of
 test_kirchhoff.py on walks of up to 13 faces, beyond the oracle.  The
 Euler-count hole checks are compared with the bounding-box flood of
-test_lattice.py, and cli.main is fuzzed with arbitrary file contents.
+test_lattice.py, the t-classes and slit-curves of chain samples with
+the reference walk of test_moves.py and the Arc-object chainer of
+test_slits.py, and cli.main is fuzzed with arbitrary file contents.
 """
 
 import contextlib
@@ -32,7 +34,8 @@ from octadimer.lattice import (BLACK, W0, W1, ComplementNotConnectedError,
 from octadimer.moves import apply_move, find_moves, t_class
 from octadimer.oracle import enumerate_coverings, impurity_histogram
 from octadimer.sampler import ChainConfig, run
-from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
+from octadimer.slits import (enclosed_dual_tree, forests, impurity_curve,
+                             slit_curves)
 from octadimer.temperley import initial_covering
 
 from strategies import regions
@@ -40,6 +43,7 @@ from test_cli import STRIP1
 from test_kirchhoff import assert_matches_reference
 from test_lattice import face_neighbors, flood_has_hole
 from test_moves import reference_t_class
+from test_slits import reference_slit_curves
 
 points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -153,6 +157,13 @@ def test_chain_stays_valid(tri, seed):
 def test_t_class_matches_reference_walk(tri, seed, steps):
     m = run(initial_covering(tri), ChainConfig(seed=seed, steps=steps)).final
     assert t_class(m) == reference_t_class(m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(regions(), st.integers(0, 2 ** 31), st.integers(0, 400))
+def test_slit_curves_match_reference_chainer(tri, seed, steps):
+    m = run(initial_covering(tri), ChainConfig(seed=seed, steps=steps)).final
+    assert slit_curves(m) == reference_slit_curves(m)
 
 
 @st.composite

@@ -7,22 +7,105 @@ vertex of Gamma (which doubles to (even, even)).
 
 The diamond fixture freezes a full hand-checked configuration: every
 crossed edge, every curve, both forests, and the enclosed tree of each
-of the four impurity curves.
+of the four impurity curves.  Arc objects and the arc-by-arc chainer
+below are the reference the point-map tracer of slits.slit_curves is
+compared against.
 """
+
+from dataclasses import dataclass
 
 import pytest
 
+from octadimer import slits
 from octadimer.covering import impurities, validate_covering
-from octadimer.lattice import build_normal_graph, edge, is_unit_edge
+from octadimer.lattice import (build_normal_graph, build_region, edge,
+                               is_unit_edge, strip_region)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
 from octadimer.slits import (CycleDetectedError, NoCurveError,
-                             ResidualDiagonalError, StructureError,
-                             arcs_of, enclosed_dual_tree, forests,
-                             impurity_curve, slit_curves)
+                             ResidualDiagonalError, SlitCrossingError,
+                             SlitCurve, SlitLoopError, StructureError,
+                             enclosed_dual_tree, forests, impurity_curve,
+                             slit_curves)
 from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
+
+CCW = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@dataclass(frozen=True)
+class Arc:
+    """A quarter arc around center joining two curve points."""
+
+    center: tuple
+    diag_point: tuple  # doubled midpoint of the diagonal {w_i, w_{i+1}}
+    unit_point: tuple  # doubled midpoint of the crossed unit edge
+
+
+def _doubled_mid(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def arcs_of(m):
+    """Every quarter arc generated by the covering m."""
+    g = m.graph
+    out = []
+    for b in g.blacks:
+        x, y = b
+        ring = [(x + dx, y + dy) for dx, dy in CCW]
+        partner = m.mate(b)
+        j = ring.index(partner)
+        for i in range(4):
+            wi, wk = ring[i], ring[(i + 1) % 4]
+            if wi not in g.vertex_set or wk not in g.vertex_set:
+                continue
+            if (j - i) % 4 in (1, 3):
+                center = wi
+            else:
+                center = wk
+            out.append(Arc(center, _doubled_mid(wi, wk),
+                           _doubled_mid(center, b)))
+    return out
+
+
+def reference_slit_curves(m):
+    """The slit-curves of m, chained one Arc object at a time."""
+    grid = {}
+    for arc in arcs_of(m):
+        for p in (arc.diag_point, arc.unit_point):
+            grid.setdefault(p, []).append(arc)
+    for p, arcs in grid.items():
+        if len(arcs) > 2:
+            raise SlitCrossingError("curve point %r has degree %d"
+                                    % (p, len(arcs)))
+
+    unused = set()
+    for arcs in grid.values():
+        unused.update(arcs)
+    curves = []
+    for start in sorted(grid):
+        if len(grid[start]) != 1:
+            continue
+        arc = grid[start][0]
+        if arc not in unused:
+            continue
+        points = [start]
+        while True:
+            unused.discard(arc)
+            nxt = (arc.unit_point if points[-1] == arc.diag_point
+                   else arc.diag_point)
+            points.append(nxt)
+            following = [a for a in grid[nxt] if a in unused]
+            if not following:
+                break
+            arc = following[0]
+        if points[-1] < points[0]:
+            points.reverse()
+        curves.append(SlitCurve(tuple(points)))
+    if unused:
+        raise SlitLoopError("%d arcs form closed loops" % len(unused))
+    return frozenset(curves)
 
 
 def crossed_unit_edges(m):
@@ -99,6 +182,40 @@ def test_arcs_count(diamond):
         assert a.diag_point[0] % 2 and a.diag_point[1] % 2
         assert (a.unit_point[0] + a.unit_point[1]) % 2
     assert len({(a.diag_point, a.unit_point) for a in arcs}) == len(arcs)
+    ends = list(slits._arc_ends(diamond))
+    assert len(ends) == len(arcs)
+    assert set(ends) == {(a.center, a.diag_point, a.unit_point)
+                         for a in arcs}
+
+
+@pytest.fixture(scope="module")
+def strip_coverings():
+    return [m for n in (2, 3, 4)
+            for m in enumerate_coverings(build_region(strip_region(n)).g)]
+
+
+def test_slit_curves_match_reference(diamond, ell_coverings,
+                                     strip_coverings):
+    for m in [diamond, *ell_coverings, *strip_coverings]:
+        assert slit_curves(m) == reference_slit_curves(m)
+
+
+def _patch_arcs(monkeypatch, arcs):
+    monkeypatch.setattr(slits, "_arc_ends", lambda m: iter(arcs))
+
+
+def test_crossing_and_loop_sentinels(monkeypatch, diamond):
+    # no covering reaches either error; a fake arc generator must
+    c = (0, 0)
+    _patch_arcs(monkeypatch, [(c, (1, 1), (2, 1)), (c, (3, 1), (2, 1)),
+                              (c, (3, 3), (2, 1))])
+    with pytest.raises(SlitCrossingError, match="degree 3"):
+        slit_curves(diamond)
+    loop = [(c, (1, 1), (1, 2)), (c, (3, 3), (1, 2)),
+            (c, (3, 3), (2, 1)), (c, (1, 1), (2, 1))]
+    _patch_arcs(monkeypatch, loop + [(c, (5, 5), (5, 6))])
+    with pytest.raises(SlitLoopError, match="^4 arcs form closed loops$"):
+        slit_curves(diamond)
 
 
 @pytest.mark.parametrize("source", ["diamond", "ell_coverings"])
