@@ -4,10 +4,10 @@ Subcommands: build, enumerate, prob, moves, sample, render, selftest.
 Regions travel as {"faces": [[x,y],...], "f_star": [x,y],
 "v_star": [x,y]}, coverings as {"dimers": [[[x1,y1],[x2,y2]], ...]}.
 Every output is JSON with sorted keys (byte-deterministic) except
-render, which emits SVG.  Exit codes: 0 success, 2 validation failure
-or an output path that cannot be written, 3 enumeration infeasible, 1
-selftest failure.  Every InvalidInputError a command raises becomes
-exit 2 in main, at one place.
+render, which emits SVG.  Exit codes: 0 success, 2 a bad command
+line, a validation failure or an output path that cannot be written, 3
+enumeration infeasible, 1 selftest failure.  Every InvalidInputError a
+command raises becomes exit 2 in main, at one place.
 """
 
 import argparse
@@ -235,12 +235,20 @@ def cmd_selftest(args):
     raise SystemExit(0 if ok else 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as the JSON error object, exit 2."""
+
+    def error(self, message):
+        _fail(2, "UsageError", message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="octadimer",
         description="Dimer coverings with diagonal impurities: exact "
                     "counts, local-move dynamics, slit-curves, sampling.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     p = sub.add_parser("build", help="validate a region and summarize G")
     p.add_argument("region")

@@ -235,18 +235,30 @@ def impurity_face(tri: TemperleyTriple, e: Edge):
 
 
 def coverings_with_impurity(tri: TemperleyTriple, e: Edge) -> int:
-    """How many coverings of G put their impurity on the diagonal e."""
+    """How many coverings of G put their impurity on the diagonal e.
+
+    Each call solves the whole region; for several edges, call
+    region_counts once and read `at[impurity_face(tri, e)]`.
+    """
     x = impurity_face(tri, e)
     return region_counts(tri).at[x]
 
 
 def total_coverings(tri: TemperleyTriple) -> int:
-    """|det A| (4 sum p_v + d* - 3) over all dual vertices."""
+    """|det A| (4 sum p_v + d* - 3) over all dual vertices.
+
+    Each call solves the whole region; region_counts gives this total
+    together with det A and the per-edge counts from one solve.
+    """
     return region_counts(tri).total
 
 
 def impurity_probability(tri: TemperleyTriple, e: Edge) -> Fraction:
-    """Chance that a uniform covering of G has its impurity on e."""
+    """Chance that a uniform covering of G has its impurity on e.
+
+    Each call solves the whole region; for several edges, call
+    region_counts once and divide `at[impurity_face(tri, e)]` by `total`.
+    """
     x = impurity_face(tri, e)
     counts = region_counts(tri)
     return Fraction(counts.at[x], counts.total)

@@ -299,3 +299,21 @@ def test_invalid_chain_flags_exit_2(capsys, strip_file, flags):
                              *flags)
     assert code == 2
     assert obj["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "{}", "--seed", "1", "--steps", "abc"),
+    ("sample", "{}", "--seed", "1"),
+    ("sample", "{}", "--seed", "1", "--steps", "5", "--bogus"),
+    ("sample", "{}", "--seed", "1", "--steps", "5", "--every"),
+    ("prob",),
+    ("nope", "{}"),
+    (),
+])
+def test_bad_command_line_exits_2(capsys, strip_file, argv):
+    # argparse's own errors go through the JSON error object on stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(strip_file) for a in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and err == ""
+    assert json.loads(out)["error"] == "UsageError"

@@ -2,14 +2,16 @@
 
 import random
 from collections import Counter
+from itertools import chain, islice
 
 import pytest
 
 from octadimer.covering import impurities, validate_covering
-from octadimer.lattice import InvalidInputError
-from octadimer.moves import t_sites, unit_squares
+from octadimer.lattice import InvalidInputError, build_normal_graph, edge
+from octadimer.moves import site_move, t_sites, unit_squares
 from octadimer.oracle import enumerate_coverings
-from octadimer.sampler import (RNG_ALGORITHM, ChainConfig, proposal_sites,
+from octadimer.sampler import (BLOCK_WORDS, RNG_ALGORITHM, ChainConfig,
+                               SampleReport, _site_blocks, proposal_sites,
                                run, step)
 from octadimer.temperley import initial_covering
 
@@ -23,6 +25,10 @@ def test_config_validation():
         ChainConfig(seed=1, steps=10, burn_in=-1)
     with pytest.raises(InvalidInputError):
         ChainConfig(seed=1, steps=10, sample_every=0)
+    for bad in (dict(steps=2.5), dict(steps=10, burn_in=1.0),
+                dict(steps=10, sample_every=1.5), dict(steps="10")):
+        with pytest.raises(InvalidInputError):
+            ChainConfig(seed=1, **bad)
 
 
 def test_proposal_sites(ell):
@@ -153,3 +159,97 @@ def test_impurity_counts_match_trajectory(request, name, every, burn_in):
         assert rep.impurity_counts == {}
     if name == "diamond":
         assert sum(tally.values()) == 4 * rep.n_samples
+
+
+def reference_run(m0, cfg, track_states=False, keep_trajectory=False):
+    """The per-step chain: one randrange and one thinning test per step."""
+    g = m0.graph
+    sites = proposal_sites(g)
+    mate = m0.mate_map()
+    impurity_set = set(impurities(m0))
+    rng = random.Random(cfg.seed)
+    accepted = n_samples = 0
+    impurity_counts, state_counts, trajectory = {}, {}, []
+    for i in range(cfg.steps):
+        mv = None
+        if sites:
+            site = sites[rng.randrange(len(sites))]
+            mv = site_move(mate, site)
+        if mv is not None:
+            a, b, c, d = mv
+            mate[a], mate[d], mate[b], mate[c] = d, a, c, b
+            accepted += 1
+            if site[0] == "t":
+                impurity_set.remove(edge(a, b))
+                impurity_set.add(edge(b, c))
+        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.sample_every == 0:
+            n_samples += 1
+            for e in impurity_set:
+                impurity_counts[e] = impurity_counts.get(e, 0) + 1
+            if track_states or keep_trajectory:
+                key = tuple(sorted((v, w) for v, w in mate.items() if v < w))
+                if track_states:
+                    state_counts[key] = state_counts.get(key, 0) + 1
+                if keep_trajectory:
+                    trajectory.append(key)
+    final = validate_covering(g, [(v, w) for v, w in mate.items() if v < w])
+    return SampleReport(cfg, final, accepted, n_samples,
+                        impurity_counts, state_counts, trajectory)
+
+
+def _fields(rep):
+    return (rep.config, rep.final, rep.accepted, rep.n_samples,
+            list(rep.impurity_counts.items()),
+            list(rep.state_counts.items()), rep.trajectory,
+            rep.rng_algorithm)
+
+
+@pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square"])
+@pytest.mark.parametrize("track_states", [False, True])
+@pytest.mark.parametrize("keep_trajectory", [False, True])
+def test_run_matches_reference(request, name, track_states, keep_trajectory):
+    # counting per interval gives what sampling each step gives, in the
+    # same dict insertion order
+    m0 = _start(request, name)
+    flags = dict(track_states=track_states, keep_trajectory=keep_trajectory)
+    for steps in (0, 1, 500):
+        for burn_in in (0, 5, steps, steps + 3):
+            for every in (1, 3, 7, 100):
+                cfg = ChainConfig(seed=steps + every, steps=steps,
+                                  burn_in=burn_in, sample_every=every)
+                assert (_fields(run(m0, cfg, **flags))
+                        == _fields(reference_run(m0, cfg, **flags))), cfg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,
+                               6819, 2 ** 20 + 1, 2 ** 31 + 1, 2 ** 32 - 1])
+def test_block_draws_equal_randrange(n):
+    # 257 and 1025 sit just above a power of two, where nearly half the
+    # words are drawn again; the draws span several blocks
+    count = 3 * BLOCK_WORDS
+    for seed in (0, 1, 2024):
+        blocks = _site_blocks(range(n), random.Random(seed))
+        ref = random.Random(seed)
+        assert (list(islice(chain.from_iterable(blocks), count))
+                == [ref.randrange(n) for _ in range(count)])
+
+
+def test_no_sites_holds_without_drawing():
+    g = build_normal_graph({(0, 0), (1, 0)})
+    m0 = validate_covering(g, [((0, 0), (1, 0))])
+    assert proposal_sites(g) == ()
+    assert list(_site_blocks((), random.Random(0))) == []
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert step(m0, rng) is m0
+    assert rng.getstate() == state
+    cfg = ChainConfig(seed=4, steps=50, burn_in=5, sample_every=3)
+    rep = run(m0, cfg, track_states=True, keep_trajectory=True)
+    key = tuple(m0.dimers)
+    assert rep.final == m0 and rep.accepted == 0
+    assert rep.n_samples == 15      # ceil(45 / 3)
+    assert rep.impurity_counts == {}
+    assert rep.state_counts == {key: 15}
+    assert rep.trajectory == [key] * 15
+    assert _fields(rep) == _fields(reference_run(
+        m0, cfg, track_states=True, keep_trajectory=True))
