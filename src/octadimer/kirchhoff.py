@@ -19,9 +19,9 @@ for every face vertex, d* + 1 for f*.  Hence
 
 the sum running over all of V(H-perp) with p_f* = 1.
 
-Every count is an integer: one banded fraction-free elimination of
-[A | b] per region (eliminate, called once by solve_p) yields |det A|
-and |det A| p together, and the integers |det A| p_v are the per-edge
+Every count is an integer: one fraction-free elimination of [A | b]
+per region (eliminate, called once by solve_p) yields |det A| and
+|det A| p together, and the integers |det A| p_v are the per-edge
 counts themselves.  Fraction appears only where a probability is read
 out: a Solution's items and impurity_probability.
 """
@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (InvalidInputError, TemperleyTriple, Edge,
+from .lattice import (InvalidInputError, TemperleyTriple, Edge, _edge_arg,
                       is_diagonal_edge)
 
 
@@ -81,13 +81,16 @@ def eliminate(sys: LaplacianSystem):
     raise InvalidInputError; a zero pivot, which only a singular
     hand-built system can give, raises SingularSystemError.
 
-    Row i is zero left of column first(i), the least of i and its
-    neighbors, and fill-in stays right of it, so step k updates only the
-    band of rows with first(i) <= k < i: w rows for a bandwidth w, which
-    is k on a k x k square in lexicographic order.  O(n w^2) in all.  A
-    row below the band would only be rescaled by pivot/prev at each
-    step; instead it records how many steps it has been through, and is
-    multiplied by piv[k] and divided by piv[that count] when next
+    Step k updates exactly the rows i > k that hold column k.  Every
+    entry of the partly eliminated A is a minor, symmetric in its row
+    and column because A is, so the filled pattern stays symmetric and
+    those rows are the columns j < n of pivot row k; no face order is
+    assumed.  In lexicographic order, with bandwidth w (k on a k x k
+    square), a pivot row holds at most w columns past its own, so each
+    step updates at most w rows of at most w + 1 entries: O(n w^2) in
+    all.  A row that step k does not update would only be rescaled by
+    pivot/prev; instead it records how many steps it has been through,
+    and is multiplied by piv[k] and divided by piv[that count] when next
     touched.  The skipped rescales telescope, so the division is exact.
     The rescale comes before the row's pivot-column factor is read.
 
@@ -98,20 +101,15 @@ def eliminate(sys: LaplacianSystem):
     n = len(sys.order)
     _check_rows(sys, n)
     rows = []
-    entering = [[] for _ in range(n)]
     for i, (adj, b) in enumerate(zip(sys.neighbors, sys.b)):
         row = dict.fromkeys(adj, -1)
         row[i] = 4
         if b:
             row[n] = b            # column n holds b
         rows.append(row)
-        entering[min(row)].append(i)
     piv = [1]                     # piv[k]: pivot of step k - 1, divisor at k
     level = [0] * n               # steps each row has been brought through
-    band = set()
     for k in range(n):
-        band.update(entering[k])
-        band.discard(k)
         top = rows[k]
         if level[k] < k:
             top = {j: x * piv[k] // piv[level[k]] for j, x in top.items()}
@@ -122,10 +120,10 @@ def eliminate(sys: LaplacianSystem):
         rows[k] = (pivot, top)    # row k of U, final
         prev = piv[k]
         piv.append(pivot)
-        for i in band:
-            row = rows[i]
-            if k not in row:
+        for i, _ in top:
+            if i == n:
                 continue
+            row = rows[i]
             if level[i] < k:
                 row = {j: x * prev // piv[level[i]] for j, x in row.items()}
             f = row.pop(k)
@@ -150,6 +148,8 @@ def _check_rows(sys: LaplacianSystem, n: int):
     itself, with j in row i exactly when i is in row j, make A symmetric
     and diagonally dominant, so positive semidefinite: a zero leading
     minor then means det A = 0, and the elimination needs no swaps.
+    Symmetry also decides which rows each step updates: eliminate reads
+    them off the pivot row.
     """
     cols = [set(adj) for adj in sys.neighbors]
     if len(cols) != n or len(sys.b) != n:
@@ -225,8 +225,7 @@ def region_counts(tri: TemperleyTriple) -> RegionCounts:
 
 def impurity_face(tri: TemperleyTriple, e: Edge):
     """The odd-odd end of the diagonal edge e of G, a vertex of H-perp."""
-    e = (tuple(e[0]), tuple(e[1]))
-    e = e if e[0] <= e[1] else (e[1], e[0])
+    e = _edge_arg(e)
     if not is_diagonal_edge(e):
         raise NotDiagonalError("%r is not a diagonal edge" % (e,))
     if e not in tri.g.edge_set:

@@ -30,6 +30,7 @@ V(N) + {f*, v*} and every covering of G carries exactly one impurity.
 """
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -224,6 +225,9 @@ class Region:
     @staticmethod
     def of(faces, f_star, v_star) -> "Region":
         """Normalize the points; each must be a pair of plain ints."""
+        if not isinstance(faces, Iterable):
+            raise RegionError("faces %r are not a collection of points"
+                              % (faces,))
         return Region(tuple(sorted(_point(f) for f in faces)),
                       _point(f_star), _point(v_star))
 
@@ -234,6 +238,13 @@ def _point(p) -> Vertex:
             and type(p[0]) is int and type(p[1]) is int):
         raise RegionError("point %r is not a pair of integers" % (p,))
     return (p[0], p[1])
+
+
+def _edge_arg(e) -> Edge:
+    """The canonical edge named by e, which must be a pair of points."""
+    if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        raise RegionError("%r is not a pair of points" % (e,))
+    return edge(_point(e[0]), _point(e[1]))
 
 
 def _face_corners(f: Vertex):
@@ -324,16 +335,21 @@ class TemperleyTriple:
 
 
 def build_region(region: Region) -> TemperleyTriple:
-    """Construct H, the full dual, N and G from a validated Region."""
-    faces = tuple(sorted(set(tuple(f) for f in region.faces)))
+    """Construct H, the full dual, N and G from a Region.
+
+    The region's points are read through Region.of, so a Region built
+    directly is held to the same plain-int rule.
+    """
+    region = Region.of(region.faces, region.f_star, region.v_star)
+    faces = region.faces
     if not faces:
         raise RegionError("region has no faces")
-    if len(faces) != len(region.faces):
+    face_set = frozenset(faces)
+    if len(face_set) != len(faces):
         raise RegionError("duplicate faces")
     for f in faces:
         if classify_vertex(f) != W1:
             raise RegionError("face center %r is not an odd-odd point" % (f,))
-    face_set = frozenset(faces)
     linked = reach(faces[:1], lambda f: [w for w in _face_neighbors(f)
                                          if w in face_set])
     if len(linked) != len(faces):
@@ -343,7 +359,7 @@ def build_region(region: Region) -> TemperleyTriple:
     if len(h_vertices) - len(h_edges) + len(faces) != 1:
         raise RegionError("faces enclose a hole")
 
-    f_star = tuple(region.f_star)
+    f_star = region.f_star
     if classify_vertex(f_star) != W1:
         raise InvalidFStarError("f* must be an odd-odd point")
     if f_star in face_set:
@@ -370,7 +386,7 @@ def build_region(region: Region) -> TemperleyTriple:
         raise InvalidFStarError("f* pinches off a hole")
     h_perp = DualGraph(faces, f_star, dual_edges, l_edges)
 
-    v_star = tuple(region.v_star)
+    v_star = region.v_star
     if v_star not in h_vertices:
         raise InvalidVStarError("v* is not a vertex of H")
     if edge(v_star, f_star) not in {edge(f_star, c)
@@ -411,13 +427,14 @@ def build_region(region: Region) -> TemperleyTriple:
     if n_graph.white_count != n_graph.black_count:
         raise RegionError("N is not balanced; region construction is broken")
 
-    return TemperleyTriple(Region.of(faces, f_star, v_star),
-                           h_vertices, h_edges, h_perp, n_graph, g,
+    return TemperleyTriple(region, h_vertices, h_edges, h_perp, n_graph, g,
                            e_star1, e_star2)
 
 
 def strip_region(n: int) -> Region:
     """A 1 x n row of faces with f* at the right end and v* above it."""
+    if type(n) is not int:
+        raise RegionError("strip length %r is not an integer" % (n,))
     if n < 1:
         raise RegionError("strip length must be positive")
     faces = [(2 * j - 1, 1) for j in range(1, n + 1)]

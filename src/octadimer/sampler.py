@@ -42,11 +42,12 @@ class ChainConfig:
     sample_every: int = 1
 
     def __post_init__(self):
-        # run counts samples per interval with integer arithmetic
-        if not all(isinstance(x, int)
-                   for x in (self.steps, self.burn_in, self.sample_every)):
+        # run counts samples per interval with integer arithmetic, and
+        # bool is an int subclass that would otherwise pass as 0 or 1
+        if not all(type(x) is int for x in (self.seed, self.steps,
+                                            self.burn_in, self.sample_every)):
             raise InvalidInputError(
-                "steps, burn_in and sample_every must be integers")
+                "seed, steps, burn_in and sample_every must be integers")
         if self.steps < 0 or self.burn_in < 0:
             raise InvalidInputError("steps and burn_in must be nonnegative")
         if self.sample_every < 1:

@@ -27,8 +27,8 @@ sublattice, the dual forest on the odd one.
 from dataclasses import dataclass
 
 from .covering import DimerCovering, impurities
-from .lattice import (Edge, Vertex, diagonal_edges, edge, flanking_blacks,
-                      reach)
+from .lattice import (Edge, Vertex, _edge_arg, diagonal_edges, edge,
+                      flanking_blacks, reach)
 
 
 class StructureError(RuntimeError):
@@ -191,7 +191,7 @@ def forests(m: DimerCovering) -> ForestPair:
 
 def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
     """The unique slit-curve passing through the impurity e of m."""
-    e = edge(*e)
+    e = _edge_arg(e)
     if e not in impurities(m):
         raise NoCurveError("%r is not an impurity of the covering" % (e,))
     target = _doubled_mid(*e)

@@ -3,12 +3,14 @@
 Frozen numbers: the L-region system (det 56, p = 1/7, 2/7, 2/7, total
 328) and the strip determinants 4, 15, 56, 209, 780, 2911, 10864,
 40545, which obey a_n = 4 a_{n-1} - a_{n-2} and the closed form in
-powers of 2 +- sqrt(3).  The banded integer elimination is checked
+powers of 2 +- sqrt(3).  The sparse integer elimination is checked
 against a naive dense Fraction Gauss-Jordan, kept here as the reference
-(and used on random polyominoes in test_properties.py), and on the
-larger squares by its exact residual and a determinant mod a prime.
-The square regions and the residual check are those of bench/ladder.py,
-which runs the same check in CI.
+(and used on random polyominoes in test_properties.py), also with the
+faces in orders other than build_system's, and on the larger squares by
+its exact residual and a determinant mod a prime.  The square regions
+and the residual check are those of bench/ladder.py, which runs the
+same check in CI; the seeded 60-face polyomino is the one
+perfbench/inputs.py draws for the exact workload.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,9 +29,11 @@ from octadimer.kirchhoff import (LaplacianSystem, NotDiagonalError,
                                  build_system, coverings_with_impurity,
                                  eliminate, impurity_probability, solve_p,
                                  total_coverings, tree_count)
-from octadimer.lattice import (InvalidInputError, build_region, ell_region,
-                               strip_region)
+from octadimer.lattice import (InvalidInputError, Region, RegionError,
+                               build_region, ell_region, strip_region)
 from octadimer.oracle import impurity_histogram
+from octadimer.slits import impurity_curve
+from octadimer.temperley import initial_covering
 
 STRIP_DETS = [4, 15, 56, 209, 780, 2911, 10864, 40545]
 
@@ -37,6 +42,16 @@ _spec = importlib.util.spec_from_file_location(
 ladder = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ladder)
 square_region = ladder.square_region
+
+_spec = importlib.util.spec_from_file_location(
+    "inputs", pathlib.Path(__file__).parents[1] / "perfbench" / "inputs.py")
+inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(inputs)
+
+
+def polyomino_region(seed, n):
+    obj = inputs.polyomino(random.Random(seed), n)
+    return Region.of(obj["faces"], obj["f_star"], obj["v_star"])
 
 
 def dense_rows(sys):
@@ -130,6 +145,34 @@ def test_edge_arguments_validated(ell):
         coverings_with_impurity(ell, ((0, 0), (1, 0)))
     with pytest.raises(NotInGError):
         coverings_with_impurity(ell, ((9, 9), (10, 10)))
+
+
+@pytest.mark.parametrize("e", [
+    ((1, 3),),                        # one point
+    ((1, 3), (2, 4), (9, 9)),         # three points
+    (("a", "b"), (2, 4)),             # not integers
+    ((True, 3), (2, 4)),              # bool passes for 1 unless refused
+    ((1.0, 3), (2, 4)),
+    ((1, 3), 2),
+    5,
+    "ab",
+], ids=["one-point", "three-points", "strings", "bool", "float",
+        "int-point", "int", "str"])
+def test_malformed_edge_arguments_rejected(ell, e):
+    m = initial_covering(ell)
+    for call in (lambda: coverings_with_impurity(ell, e),
+                 lambda: impurity_probability(ell, e),
+                 lambda: impurity_curve(m, e)):
+        with pytest.raises(RegionError):
+            call()
+
+
+def test_edge_arguments_read_as_lists(ell):
+    # the list form JSON gives, in either orientation
+    m = initial_covering(ell)
+    for e in ([[3, 3], [2, 4]], [[2, 4], [3, 3]]):
+        assert coverings_with_impurity(ell, e) == 56
+        assert impurity_curve(m, e) == impurity_curve(m, ell.e_star1)
 
 
 def test_strip_determinants():
@@ -235,6 +278,45 @@ def test_hand_built_rows_rejected(neighbors, b):
                          + ["ell", "square4", "square8"])
 def test_elimination_matches_reference(region):
     assert_matches_reference(build_region(region))
+
+
+def permuted(sys, order):
+    """sys with its faces in the given order, neighbors and b remapped."""
+    old = {v: i for i, v in enumerate(sys.order)}
+    new = {v: i for i, v in enumerate(order)}
+    return LaplacianSystem(
+        order=tuple(order),
+        neighbors=tuple(tuple(new[sys.order[j]] for j in sys.neighbors[old[v]])
+                        for v in order),
+        b=tuple(sys.b[old[v]] for v in order), d_star=sys.d_star)
+
+
+FACE_ORDERS = {
+    "reversed": lambda faces: faces[::-1],
+    # build_system sorts by (x, y); this sorts by (y, x)
+    "transposed": lambda faces: sorted(faces, key=lambda f: (f[1], f[0])),
+    "shuffled": lambda faces: random.Random(12).sample(faces, len(faces)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(FACE_ORDERS))
+@pytest.mark.parametrize("region", [strip_region(n) for n in range(1, 9)]
+                         + [ell_region(), square_region(4), square_region(8),
+                            polyomino_region(3, 60)],
+                         ids=["strip%d" % n for n in range(1, 9)]
+                         + ["ell", "square4", "square8", "polyomino60"])
+def test_elimination_is_order_free(region, how):
+    # which rows a step updates is read off the pivot row, so no face
+    # order is assumed: any order gives the same det and the same counts
+    sys = build_system(build_region(region).h_perp)
+    det, counts = eliminate(sys)
+    other = permuted(sys, FACE_ORDERS[how](sys.order))
+    det2, counts2 = eliminate(other)
+    assert det2 == det
+    assert dict(zip(other.order, counts2)) == dict(zip(sys.order, counts))
+    ref_det, ref_p = reference_solve(other)
+    assert det2 == abs(ref_det)
+    assert list(counts2) == [det2 * p for p in ref_p]
 
 
 def det_mod(a, p):

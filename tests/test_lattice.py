@@ -117,6 +117,34 @@ def test_region_of_rejects_malformed_points(faces, f_star, v_star):
         Region.of(faces, f_star, v_star)
 
 
+def test_region_of_rejects_non_iterable_faces():
+    with pytest.raises(RegionError, match="not a collection of points"):
+        Region.of(5, (3, 3), (2, 4))
+    with pytest.raises(RegionError, match="not a collection of points"):
+        build_region(Region(faces=5, f_star=(3, 3), v_star=(2, 4)))
+
+
+def test_build_region_reads_a_direct_region_through_region_of():
+    # a Region built without Region.of is normalized, or refused, the same
+    direct = Region(faces=[[3, 1], [1, 3], [1, 1]], f_star=[3, 3],
+                    v_star=[2, 4])
+    assert build_region(direct).region == ell_region()
+    with pytest.raises(RegionError, match="not a pair of integers"):
+        build_region(Region(faces=((True, 1),), f_star=(3, 1),
+                            v_star=(2, 2)))
+    with pytest.raises(RegionError, match="^duplicate faces$"):
+        build_region(Region(faces=((1, 1), (3, 1), (1, 1)), f_star=(5, 1),
+                            v_star=(4, 2)))
+    with pytest.raises(RegionError, match="^region has no faces$"):
+        build_region(Region(faces=(), f_star=(3, 3), v_star=(2, 4)))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_strip_region_requires_a_plain_int(n):
+    with pytest.raises(RegionError):
+        strip_region(n)
+
+
 def test_strip_and_ell_factories():
     s = strip_region(2)
     assert s.faces == ((1, 1), (3, 1))

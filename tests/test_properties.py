@@ -9,7 +9,8 @@ test_kirchhoff.py on walks of up to 13 faces, beyond the oracle.  The
 Euler-count hole checks are compared with the bounding-box flood of
 test_lattice.py, the t-classes and slit-curves of chain samples with
 the reference walk of test_moves.py and the Arc-object chainer of
-test_slits.py, and cli.main is fuzzed with arbitrary file contents.
+test_slits.py, and cli.main is fuzzed with arbitrary file contents and
+arbitrary flags.
 """
 
 import contextlib
@@ -256,7 +257,12 @@ def file_contents(objects):
 
 
 def run_main(files, argv):
-    """Run cli.main on argv, {} slots filled by files holding the bytes."""
+    """Run cli.main on argv, {} slots filled by files holding the bytes.
+
+    The call runs inside the temporary directory, so a relative output
+    path lands there too.
+    """
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, content in enumerate(files):
@@ -264,11 +270,14 @@ def run_main(files, argv):
             with open(paths[-1], "wb") as fh:
                 fh.write(content)
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            try:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out):
                 code = cli.main([a.format(*paths) for a in argv])
-            except SystemExit as exc:
-                code = exc.code
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
     assert code in (0, 2, 3)
     if code:
         assert set(json.loads(out.getvalue())) == {"error", "message"}
@@ -293,3 +302,54 @@ def test_cli_survives_any_covering_file(content, argv):
         obj = json.loads(content)
         assert all(type(c) is int for dimer in obj["dimers"]
                    for p in dimer for c in p)
+
+
+# Each command on strip 1 ({0}) with the tree-built covering ({1}) at
+# hand, the flags it knows, and the one that names an output path.
+COMMAND_LINES = {
+    "sample": (("sample", "{0}"),
+               ("--seed", "--steps", "--burn-in", "--every", "--frames"),
+               "--frames"),
+    "prob": (("prob", "{0}"), (), None),
+    "enumerate": (("enumerate", "{0}"), ("--histogram", "--limit"), None),
+    "moves": (("moves", "list", "{0}"), (), None),
+    "render": (("render", "{0}"), ("--slits", "--forests", "-o", "--out"),
+               "-o"),
+}
+UNKNOWN_FLAGS = ("--nope", "-x", "--seeds", "---steps", "--histogram=1")
+# Paths inside the run's directory: a new one, a file, a path under a
+# file, and the directory itself.
+PATHS = st.sampled_from(["out", "{0}", "{0}/x", "."])
+# Small and negative ints, non-integers, the covering file and paths.
+FLAG_VALUES = (st.integers(-3, 300).map(str)
+               | st.sampled_from(["1.5", "x", "", "-", "--", "1e3", "0x1",
+                                  "{1}"])
+               | PATHS)
+STRIP1_START = json.dumps(covering_to_obj(
+    initial_covering(build_region(strip_region(1))))).encode()
+
+
+@st.composite
+def command_lines(draw):
+    """argv for one command: its base, maybe valid chain flags and an
+    output path, then up to six drawn flags with a value, flags missing
+    their value and strays."""
+    base, known, out = COMMAND_LINES[
+        draw(st.sampled_from(sorted(COMMAND_LINES)))]
+    argv = list(base)
+    if base[0] == "sample" and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 9))),
+                 "--steps", str(draw(st.integers(0, 300)))]
+    if out and draw(st.booleans()):
+        argv += [out, draw(PATHS)]
+    flags = st.sampled_from(known + UNKNOWN_FLAGS)
+    for token in draw(st.lists(st.tuples(flags, FLAG_VALUES) | st.tuples(flags)
+                               | st.tuples(FLAG_VALUES), max_size=6)):
+        argv += token
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_cli_survives_any_flags(argv):
+    run_main([json.dumps(STRIP1).encode(), STRIP1_START], argv)

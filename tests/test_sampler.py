@@ -26,9 +26,15 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         ChainConfig(seed=1, steps=10, sample_every=0)
     for bad in (dict(steps=2.5), dict(steps=10, burn_in=1.0),
-                dict(steps=10, sample_every=1.5), dict(steps="10")):
+                dict(steps=10, sample_every=1.5), dict(steps="10"),
+                # bool is an int subclass; True would pass as 1
+                dict(steps=True), dict(steps=10, burn_in=False),
+                dict(steps=10, sample_every=True)):
         with pytest.raises(InvalidInputError):
             ChainConfig(seed=1, **bad)
+    for seed in ([1], 1.5, "1", None, True):
+        with pytest.raises(InvalidInputError):
+            ChainConfig(seed=seed, steps=10)
 
 
 def test_proposal_sites(ell):
