@@ -1,14 +1,16 @@
-"""Per-layer timings of the counting, slit, chain and t-class paths over
-a region ladder.
+"""Per-layer timings of the counting, slit, chain, t-class and move-graph
+paths over a region ladder.
 
 Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
 and kirchhoff.total_coverings, slits.slit_curves and slits.forests on
 the region's initial_covering, sampler.run (seed 1, 20 000 steps, also
 given as steps per second) from it, and slits.slit_curves and
-moves.t_class on that run's final covering, on strips n = 1..8 and
-k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each
-the median of five calls after one untimed call of the chain and
-t_class, so the per-graph site lists are built.  It checks every
+moves.t_class on that run's final covering, on strips n = 1..8, the L-region
+and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)),
+each the median of five calls after one untimed call of the chain and
+t_class, so the per-graph site lists are built.  The L-region row also
+times oracle.enumerate_coverings and moves.move_graph_connected over
+its enumeration.  It checks every
 region's answers: the strip determinants follow
 a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every region the
 counts N = |det A| p from solve_p satisfy A N = |det A| b, with A and b
@@ -18,7 +20,8 @@ coverings use every arc, one per (black, corner with both whites in G)
 pair counted from G alone, and each impurity's diagonal midpoint lies
 on exactly one of them; and the t-class has 4(|T*| - 1) + d* + 1
 members, T* being slits.enclosed_dual_tree of the final covering's
-impurity curve.
+impurity curve; and on the L-region the oracle enumerates
+total_coverings coverings, which s- and t-moves connect.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -28,7 +31,7 @@ times the checkout it is run in, and PYTHONPATH=<other checkout>/src
 times another.  One JSON object goes to stdout: provenance (Python,
 nproc, the library's git commit and whether its tree is dirty, a hash
 of its sources and a hash of the ladder) and one record per region.
---quick runs strips 1..8 and squares 4 and 8 once.  The exit status is
+--quick runs strips 1..8, the L-region and squares 4 and 8 once.  The exit status is
 1 if any check fails.
 """
 
@@ -45,10 +48,10 @@ import time
 
 import octadimer
 from octadimer import (ChainConfig, Region, build_region, build_system,
-                       enclosed_dual_tree, forests, impurities,
-                       impurity_curve, initial_covering, run, slit_curves,
-                       solve_p, strip_region, t_class, total_coverings,
-                       tree_count)
+                       ell_region, enclosed_dual_tree, enumerate_coverings,
+                       forests, impurities, impurity_curve, initial_covering,
+                       move_graph_connected, run, slit_curves, solve_p,
+                       strip_region, t_class, total_coverings, tree_count)
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
@@ -65,6 +68,7 @@ def square_region(k):
 
 def ladder(quick):
     regions = [("strip%d" % n, strip_region(n)) for n in STRIPS]
+    regions.append(("ell", ell_region()))
     regions += [("square%d" % k, square_region(k))
                 for k in (QUICK_SQUARES if quick else SQUARES)]
     return regions
@@ -140,7 +144,7 @@ def measure(name, region, repeats):
     t_final_curves, final_curves = median_time(lambda: slit_curves(final),
                                                repeats)
     t_t_class, cls = median_time(lambda: t_class(final), repeats)
-    return {"name": name, "faces": len(region.faces),
+    record = {"name": name, "faces": len(region.faces),
             "det_bits": det.bit_length(), "det": str(det),
             "total": str(total), "residual_ok": residual_ok(tri),
             "forests_span": forests_span(fp, tri.g),
@@ -155,6 +159,15 @@ def measure(name, region, repeats):
                         "chain_run": t_chain,
                         "slit_curves_final": t_final_curves,
                         "t_class": t_t_class}}
+    if name == "ell":
+        t_enum, ms = median_time(lambda: enumerate_coverings(tri.g), repeats)
+        t_conn, connected = median_time(
+            lambda: move_graph_connected(tri.g, ms), repeats)
+        record.update(coverings=len(ms), oracle_ok=len(ms) == total,
+                      connected=connected)
+        record["seconds"].update(enumerate_coverings=t_enum,
+                                 move_graph_connected=t_conn)
+    return record
 
 
 def strip_recurrence_ok(records):
@@ -194,14 +207,16 @@ def provenance(regions, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
-                        help="strips 1..8 and squares 4, 8, one repeat")
+                        help="strips 1..8, the L-region and squares 4, 8, "
+                        "one repeat")
     args = parser.parse_args(argv)
     repeats = 1 if args.quick else REPEATS
     regions = ladder(args.quick)
     records = [measure(name, region, repeats) for name, region in regions]
     ok = strip_recurrence_ok(records) and all(
         r["residual_ok"] and r["forests_span"] and r["curves_ok"]
-        and r["t_class_ok"]
+        and r["t_class_ok"] and r.get("oracle_ok", True)
+        and r.get("connected", True)
         for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),
                       "correct": ok, "regions": records}, indent=1))

@@ -5,13 +5,21 @@ slides an impurity: for whites a, c opposite across a black d and a
 common diagonal neighbor b, it swaps {a,b}+{c,d} for {b,c}+{a,d}.
 Both kinds are involutions on a fixed four-vertex site, which is what
 makes a uniform random choice over sites a symmetric proposal kernel.
+
+The move rule is written once, on mate maps: site_move reads the move
+a site supports and swap applies it.  Every edge of a site is in G, so
+a move that site_move returns takes a covering to a covering.  The
+walks (t_class, move_graph_connected) therefore validate the covering
+they start from, once, and trust each move after it; apply_move stays
+the validating path for a move handed in from outside.
 """
 
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .covering import DimerCovering, impurities, validate_covering
+from .covering import (CoveringError, DimerCovering, impurities,
+                       validate_covering)
 from .lattice import InvalidInputError, Vertex, edge, reach
 
 
@@ -126,6 +134,39 @@ def site_move(mate, site):
     return None
 
 
+def swap(mate, a, b, c, d):
+    """Apply the move (a, b, c, d) of site_move to mate, in place.
+
+    A t-move also drops the impurity {a,b} and adds the impurity {b,c}.
+    """
+    mate[a], mate[d], mate[b], mate[c] = d, a, c, b
+
+
+def _moved_dimers(dimers, own_edges, a, b, c, d):
+    """The sorted dimers with {a,b},{c,d} replaced by g's own {b,c},{d,a}."""
+    out = list(dimers)
+    i, j = sorted((bisect_left(dimers, edge(a, b)),
+                   bisect_left(dimers, edge(c, d))))
+    del out[j]
+    del out[i]
+    insort(out, own_edges[edge(b, c)])
+    insort(out, own_edges[edge(d, a)])
+    return tuple(out)
+
+
+def _moved(m: DimerCovering, a, b, c, d) -> DimerCovering:
+    """m after the move (a, b, c, d) that site_move read off m, unchecked.
+
+    Trusted: the move's four edges are in G and {a,b},{c,d} are dimers
+    of m, so the result is a covering without validate_covering.
+    """
+    mate = dict(m._mate)
+    swap(mate, a, b, c, d)
+    return DimerCovering(
+        m.graph, _moved_dimers(m.dimers, m.graph.own_edges, a, b, c, d),
+        mate)
+
+
 # graph -> {diagonal edge: the t-sites whose {a,b} or {b,c} it is}
 _T_INDEX = weakref.WeakKeyDictionary()
 
@@ -149,26 +190,25 @@ def _t_site_index(g):
     return index
 
 
-def _moves(m: DimerCovering, sites):
-    """The moves that sites support under m, in site order."""
-    mate = m.mate_view()
-    for site in sites:
-        mv = site_move(mate, site)
-        if mv is not None:
-            yield LocalMove(site[0], *mv)
-
-
 def find_moves(m: DimerCovering):
     """All moves applicable to m, sorted by (kind, removed edges)."""
-    return sorted(_moves(m, proposal_sites(m.graph)), key=LocalMove.sort_key)
+    mate = m.mate_view()
+    found = []
+    for site in proposal_sites(m.graph):
+        mv = site_move(mate, site)
+        if mv is not None:
+            found.append(LocalMove(site[0], *mv))
+    return sorted(found, key=LocalMove.sort_key)
 
 
 def apply_move(m: DimerCovering, mv: LocalMove) -> DimerCovering:
     """Apply mv to m, returning a new validated covering.
 
-    This is the one way a move becomes a covering: the new dimers go
-    through validate_covering.  They are m's sorted dimers less the two
-    removed and plus the two added, so its sort is nearly linear.
+    mv may come from anywhere, so the new dimers go through
+    validate_covering; the walks, whose moves come from site_move, use
+    the unchecked _moved instead.  The dimers are m's sorted dimers less
+    the two removed and plus the two added, so their sort is nearly
+    linear.
     """
     r1, r2 = mv.removes
     mate = m.mate_view()
@@ -182,32 +222,47 @@ def apply_move(m: DimerCovering, mv: LocalMove) -> DimerCovering:
     return validate_covering(m.graph, dimers)
 
 
+def _check_start(g, m: DimerCovering):
+    """Check that m's dimers cover g and that its mate map agrees with
+    them; a walk from m trusts every move after this."""
+    if validate_covering(g, m.dimers)._mate != m._mate:
+        raise CoveringError("the mate map disagrees with the dimers")
+
+
 def t_class(m: DimerCovering):
     """The full t-equivalence class of m.
 
-    A t-move (a, b, c, d) from site_move removes the impurity {a,b} and
-    adds the impurity {b,c}, so each member's impurities are carried
-    along the walk and its t-moves are read off the diagonal index.
+    m is validated once; its members come from trusted moves.  A t-move
+    (a, b, c, d) from site_move removes the impurity {a,b} and adds the
+    impurity {b,c}, so each member's impurities are carried along the
+    walk and its t-moves are read off the diagonal index.
     """
+    _check_start(m.graph, m)
     index = _t_site_index(m.graph)
     impurity_sets = {m: frozenset(impurities(m))}
 
     def neighbors(cur):
         held = impurity_sets[cur]
+        mate = cur._mate
         out = []
-        for mv in _moves(cur, [site for e in held
-                               for site in index.get(e, ())]):
-            nxt = apply_move(cur, mv)
-            if nxt not in impurity_sets:
-                impurity_sets[nxt] = held - {mv.removes[0]} | {mv.adds[0]}
-            out.append(nxt)
+        for e in held:
+            for site in index.get(e, ()):
+                mv = site_move(mate, site)
+                if mv is None:
+                    continue
+                nxt = _moved(cur, *mv)
+                if nxt not in impurity_sets:
+                    a, b, c, _ = mv
+                    impurity_sets[nxt] = held - {edge(a, b)} | {edge(b, c)}
+                out.append(nxt)
         return out
 
     return reach([m], neighbors)
 
 
 class IncompleteCoveringSetError(InvalidInputError):
-    """The coverings given to t_classes are not closed under t-moves."""
+    """The coverings given to t_classes or move_graph_connected are not
+    closed under the moves those walks take."""
 
 
 def t_classes(coverings):
@@ -230,13 +285,37 @@ def t_classes(coverings):
 
 
 def move_graph_connected(g, coverings=None) -> bool:
-    """Whether s- and t-moves together connect all coverings of g."""
+    """Whether s- and t-moves together connect all coverings of g.
+
+    The walk starts from coverings[0], validated once, and moves only
+    among the supplied coverings, found by their dimers; each of them is
+    read through its own mate map.  A move that leaves them raises
+    IncompleteCoveringSetError.
+    """
     from .oracle import enumerate_coverings
     if coverings is None:
         coverings = enumerate_coverings(g)
     if not coverings:
         return True
+    start = coverings[0]
+    _check_start(g, start)
+    by_dimers = {m.dimers: m for m in coverings}
+    by_dimers[start.dimers] = start
     sites = proposal_sites(g)
-    seen = reach(coverings[:1], lambda cur: [apply_move(cur, mv)
-                                             for mv in _moves(cur, sites)])
-    return len(seen) == len(coverings)
+    own_edges = g.own_edges
+
+    def neighbors(dimers):
+        mate = by_dimers[dimers]._mate
+        out = []
+        for site in sites:
+            mv = site_move(mate, site)
+            if mv is None:
+                continue
+            nxt = _moved_dimers(dimers, own_edges, *mv)
+            if nxt not in by_dimers:
+                raise IncompleteCoveringSetError(
+                    "a move leaves the supplied covering set")
+            out.append(nxt)
+        return out
+
+    return len(reach([start.dimers], neighbors)) == len(coverings)

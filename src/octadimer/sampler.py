@@ -28,7 +28,7 @@ from itertools import chain
 
 from .covering import DimerCovering, impurities, validate_covering
 from .lattice import InvalidInputError, edge
-from .moves import LocalMove, apply_move, proposal_sites, site_move
+from .moves import LocalMove, apply_move, proposal_sites, site_move, swap
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 BLOCK_WORDS = 1024      # generator words per block of site draws
@@ -164,9 +164,9 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
         if t_move or keep_states:
             credit(since, i)
             since = i
-        a, b, c, d = mv
-        mate[a], mate[d], mate[b], mate[c] = d, a, c, b
+        swap(mate, *mv)
         if t_move:
+            a, b, c, _ = mv
             impurity_set.remove(edge(a, b))
             impurity_set.add(edge(b, c))
     credit(since, cfg.steps)

@@ -24,6 +24,7 @@ and matchings", 2000).  The primary forest lies on the even
 sublattice, the dual forest on the odd one.
 """
 
+import weakref
 from dataclasses import dataclass
 
 from .covering import DimerCovering, impurities
@@ -151,6 +152,23 @@ def slit_curves(m: DimerCovering):
     return frozenset(curves)
 
 
+# graph -> its first diagonal with no flanking black in it, or None
+_RESIDUAL = weakref.WeakKeyDictionary()
+
+
+def _residual_diagonal(g):
+    """The first diagonal of g that no slit-curve crosses, or None.
+
+    It depends on g alone, so it is found once per graph object.
+    """
+    if g not in _RESIDUAL:
+        _RESIDUAL[g] = next(
+            (e for e in diagonal_edges(g)
+             if not any(b in g.vertex_set for b in flanking_blacks(e))),
+            None)
+    return _RESIDUAL[g]
+
+
 def forests(m: DimerCovering) -> ForestPair:
     """The primary and dual forests of m, read off its dimers.
 
@@ -160,10 +178,10 @@ def forests(m: DimerCovering) -> ForestPair:
     crossed by no curve and raises ResidualDiagonalError.
     """
     g = m.graph
-    for e in diagonal_edges(g):
-        if not any(b in g.vertex_set for b in flanking_blacks(e)):
-            raise ResidualDiagonalError(
-                "diagonal edge %r is missed by every slit-curve" % (e,))
+    e = _residual_diagonal(g)
+    if e is not None:
+        raise ResidualDiagonalError(
+            "diagonal edge %r is missed by every slit-curve" % (e,))
 
     adjacency = {w: [] for w in g.whites}
     for b in g.blacks:

@@ -3,21 +3,25 @@
 reference_t_class is the walk t_class replaced: every site of the graph
 is scanned through find_moves for each class member, and each t-move is
 applied to a set of dimers.  t_class, t_classes and class_bijection are
-checked against it.
+checked against it.  t_class and move_graph_connected validate only the
+covering they start from, so the members they build unchecked are
+checked here against validate_covering.
 """
 
 from collections import Counter
 
 import pytest
 
-from octadimer.covering import impurities, validate_covering
+from octadimer.covering import (CoveringError, DimerCovering, impurities,
+                                validate_covering)
 from octadimer.lattice import build_region, edge, reach, strip_region
 from octadimer.moves import (IncompleteCoveringSetError,
-                             InapplicableMoveError, LocalMove, apply_move,
-                             find_moves, move_graph_connected,
-                             proposal_sites, t_class, t_classes, t_sites,
-                             unit_squares)
+                             InapplicableMoveError, LocalMove, _moved,
+                             apply_move, find_moves, move_graph_connected,
+                             proposal_sites, site_move, swap, t_class,
+                             t_classes, t_sites, unit_squares)
 from octadimer.oracle import enumerate_coverings
+from octadimer.sampler import ChainConfig, run
 from octadimer.temperley import class_bijection, initial_covering, phi
 
 from conftest import unit_square_graph
@@ -188,3 +192,94 @@ def test_move_graph_connected(ell, ell_coverings, strip1, strip2):
     assert move_graph_connected(ell.g, ell_coverings)
     assert move_graph_connected(strip1.g)
     assert move_graph_connected(strip2.g)
+
+
+def test_move_graph_connected_on_full_lists(ell, ell_coverings, strip1,
+                                            strip2):
+    for tri in (strip1, strip2):
+        assert move_graph_connected(tri.g, enumerate_coverings(tri.g))
+    assert move_graph_connected(ell.g, ell_coverings[::-1])
+
+
+def test_move_graph_connected_rejects_a_set_not_closed_under_moves(
+        ell, ell_coverings):
+    m0 = ell_coverings[0]
+    near = {apply_move(m0, mv) for mv in find_moves(m0)} | {m0}
+    far = [m for m in ell_coverings if m not in near][:6]
+    with pytest.raises(IncompleteCoveringSetError):
+        move_graph_connected(ell.g, [m0] + far)
+    with pytest.raises(IncompleteCoveringSetError):
+        move_graph_connected(ell.g, ell_coverings[:-1])
+
+
+def wrong_mate(m):
+    """m's dimers with the mate map of one of its moves applied."""
+    mate = m.mate_map()
+    mv = find_moves(m)[0]
+    swap(mate, mv.a, mv.b, mv.c, mv.d)
+    return DimerCovering(m.graph, m.dimers, mate)
+
+
+def test_walks_reject_a_mate_map_that_disagrees_with_the_dimers(
+        ell, ell_coverings):
+    m = initial_covering(ell)
+    with pytest.raises(CoveringError):
+        t_class(wrong_mate(m))
+    with pytest.raises(CoveringError):
+        move_graph_connected(ell.g, [wrong_mate(m)] + ell_coverings)
+    with pytest.raises(CoveringError):     # dimers that cover nothing
+        t_class(DimerCovering(ell.g, m.dimers[1:], m.mate_map()))
+
+
+def test_swap_twice_at_a_site_is_the_identity(ell_coverings):
+    # swap the move a site supports, read the site again and swap back
+    for m in ell_coverings[::37]:
+        for site in proposal_sites(m.graph):
+            mate = m.mate_map()
+            mv = site_move(mate, site)
+            if mv is None:
+                continue
+            swap(mate, *mv)
+            assert mate != m.mate_map()
+            back = site_move(mate, site)
+            assert (set(LocalMove(site[0], *back).removes)
+                    == set(LocalMove(site[0], *mv).adds))
+            swap(mate, *back)
+            assert mate == m.mate_map()
+
+
+def test_trusted_move_matches_apply_move(ell_coverings):
+    for m in ell_coverings[::37]:
+        for site in proposal_sites(m.graph):
+            mv = site_move(m.mate_view(), site)
+            if mv is None:
+                continue
+            got = _moved(m, *mv)
+            want = apply_move(m, LocalMove(site[0], *mv))
+            assert got.dimers == want.dimers
+            assert got.mate_map() == want.mate_map()
+
+
+CHAIN_REGIONS = {"strip%d" % n: strip_region(n) for n in (1, 2, 3, 4)}
+CHAIN_REGIONS.update(("square%d" % k, square_region(k)) for k in (4, 8))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CHAIN_REGIONS))
+def test_t_class_members_are_valid_coverings(name, seed):
+    # every member the walk builds unchecked is what validate_covering
+    # makes of its dimers, down to the graph's own edge tuples
+    tri = build_region(CHAIN_REGIONS[name])
+    report = run(initial_covering(tri),
+                 ChainConfig(seed=seed, steps=40000, sample_every=10000),
+                 keep_trajectory=True)
+    for dimers in report.trajectory:
+        m = validate_covering(tri.g, dimers)
+        cls = t_class(m)
+        for member in cls:
+            checked = validate_covering(tri.g, member.dimers)
+            assert member.graph is tri.g
+            assert member.dimers == checked.dimers
+            assert all(e is tri.g.own_edges[e] for e in member.dimers)
+            assert member.mate_map() == checked.mate_map()
+        assert cls == reference_t_class(m)
