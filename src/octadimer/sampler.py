@@ -164,9 +164,9 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
         if t_move or keep_states:
             credit(since, i)
             since = i
-        swap(mate, *mv)
+        a, b, c, d = mv
+        swap(mate, a, b, c, d)
         if t_move:
-            a, b, c, _ = mv
             impurity_set.remove(edge(a, b))
             impurity_set.add(edge(b, c))
     credit(since, cfg.steps)
