@@ -5,12 +5,12 @@ Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
 and kirchhoff.total_coverings, slits.slit_curves and slits.forests on
 the region's initial_covering, sampler.run (seed 1, 20 000 steps, also
 given as steps per second) from it, and slits.slit_curves and
-moves.t_class on that run's final covering, on strips n = 1..8, the L-region
-and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)),
-each the median of five calls after one untimed call of the chain and
-t_class, so the per-graph site lists are built.  The L-region row also
-times oracle.enumerate_coverings and moves.move_graph_connected over
-its enumeration.  It checks every
+moves.t_class on that run's final covering, on strips n = 1..8, the
+L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
+v* = (2k, 2)), each the median of five calls after one untimed call of
+the chain and t_class, so the per-graph site lists are built.  The
+L-region row also times oracle.enumerate_coverings and
+moves.move_graph_connected over its enumeration.  It checks every
 region's answers: the strip determinants follow
 a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every region the
 counts N = |det A| p from solve_p satisfy A N = |det A| b, with A and b
@@ -31,8 +31,8 @@ times the checkout it is run in, and PYTHONPATH=<other checkout>/src
 times another.  One JSON object goes to stdout: provenance (Python,
 nproc, the library's git commit and whether its tree is dirty, a hash
 of its sources and a hash of the ladder) and one record per region.
---quick runs strips 1..8, the L-region and squares 4 and 8 once.  The exit status is
-1 if any check fails.
+--quick runs strips 1..8, the L-region and squares 4 and 8 once.  The
+exit status is 1 if any check fails.
 """
 
 import argparse
@@ -145,20 +145,20 @@ def measure(name, region, repeats):
                                                repeats)
     t_t_class, cls = median_time(lambda: t_class(final), repeats)
     record = {"name": name, "faces": len(region.faces),
-            "det_bits": det.bit_length(), "det": str(det),
-            "total": str(total), "residual_ok": residual_ok(tri),
-            "forests_span": forests_span(fp, tri.g),
-            "curves_ok": (curves_ok(m, curves)
-                          and curves_ok(final, final_curves)),
-            "chain_steps_per_s": CHAIN.steps / t_chain,
-            "t_class_size": len(cls),
-            "t_class_ok": t_class_size_ok(tri, final, len(cls)),
-            "seconds": {"build_region": t_region, "build_system": t_system,
-                        "tree_count": t_det, "total_coverings": t_total,
-                        "slit_curves": t_curves, "forests": t_forests,
-                        "chain_run": t_chain,
-                        "slit_curves_final": t_final_curves,
-                        "t_class": t_t_class}}
+              "det_bits": det.bit_length(), "det": str(det),
+              "total": str(total), "residual_ok": residual_ok(tri),
+              "forests_span": forests_span(fp, tri.g),
+              "curves_ok": (curves_ok(m, curves)
+                            and curves_ok(final, final_curves)),
+              "chain_steps_per_s": CHAIN.steps / t_chain,
+              "t_class_size": len(cls),
+              "t_class_ok": t_class_size_ok(tri, final, len(cls)),
+              "seconds": {"build_region": t_region, "build_system": t_system,
+                          "tree_count": t_det, "total_coverings": t_total,
+                          "slit_curves": t_curves, "forests": t_forests,
+                          "chain_run": t_chain,
+                          "slit_curves_final": t_final_curves,
+                          "t_class": t_t_class}}
     if name == "ell":
         t_enum, ms = median_time(lambda: enumerate_coverings(tri.g), repeats)
         t_conn, connected = median_time(

@@ -120,11 +120,10 @@ def proposal_sites(g):
 def site_move(mate, site):
     """The move site supports under mate, as (a, b, c, d), or None.
 
-    The move replaces dimers {a,b},{c,d} by {b,c},{d,a}; on the mate
-    map that is ``mate[a], mate[d], mate[b], mate[c] = d, a, c, b``.  A
-    square (bl, br, tr, tl) or t-site (a, b, c, d) has two states that
-    admit a move, and the second state's move is LocalMove.reverse of
-    the first's.
+    The move replaces dimers {a,b},{c,d} by {b,c},{d,a}; swap applies
+    it to the mate map.  A square (bl, br, tr, tl) or t-site
+    (a, b, c, d) has two states that admit a move, and the second
+    state's move is LocalMove.reverse of the first's.
     """
     kind, a, b, c, d = site
     if mate[a] == b and mate[c] == d:
