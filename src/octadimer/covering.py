@@ -74,22 +74,29 @@ def validate_covering(g, dimers) -> DimerCovering:
     The covering keeps g's own edge tuples, so its dimers hold plain-int
     points whatever equal-comparing coordinates the caller passed.  A
     dimer is looked up as given first; lists and the reversed order are
-    normalized only when that misses.
+    normalized only when that misses, and a dimer that is not a pair of
+    points raises CoveringError.
     """
     mate = {}
     canonical = []
     own_edges = g.own_edges
+    try:
+        dimers = iter(dimers)
+    except TypeError:
+        raise CoveringError("dimers %r are not iterable" % (dimers,)) from None
     for d in dimers:
         try:
             e = own_edges.get(d)
         except TypeError:  # unhashable, such as a list of lists
             e = None
         if e is None:
-            u, v = d
-            u = tuple(u)
-            v = tuple(v)
-            key = (u, v) if u <= v else (v, u)
-            e = own_edges.get(key)
+            try:
+                u, v = map(tuple, d)
+                key = (u, v) if u <= v else (v, u)
+                e = own_edges.get(key)
+            except (TypeError, ValueError):
+                raise CoveringError(
+                    "dimer %r is not a pair of points" % (d,)) from None
             if e is None:
                 raise ForeignEdgeError(key)
         a, b = e
@@ -108,6 +115,13 @@ def validate_covering(g, dimers) -> DimerCovering:
                 raise UncoveredVertexError(v)
     canonical.sort()
     return DimerCovering(g, tuple(canonical), mate)
+
+
+def check_covering(g, m: DimerCovering):
+    """Check that m's dimers cover g and that its mate map agrees with
+    them: the start check of a walk or chain that trusts its moves."""
+    if validate_covering(g, m.dimers)._mate != m._mate:
+        raise CoveringError("the mate map disagrees with the dimers")
 
 
 def expected_impurity_count(g) -> int:

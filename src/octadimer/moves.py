@@ -7,18 +7,18 @@ Both kinds are involutions on a fixed four-vertex site, which is what
 makes a uniform random choice over sites a symmetric proposal kernel.
 
 The move rule is written once, on mate maps: site_move reads the move
-a site supports and swap applies it.  Every edge of a site is in G, so
-a move that site_move returns takes a covering to a covering.  The
-walks (t_class, move_graph_connected) therefore validate the covering
-they start from, once, and trust each move after it; apply_move stays
-the validating path for a move handed in from outside.
+a site supports in either state and swap applies it.  Every edge of a
+site is in G, so a move that site_move returns takes a covering to a
+covering.  The walks (t_class, move_graph_connected) therefore check
+their start once (check_covering) and trust each move after it;
+apply_move validates a move handed in from outside.
 """
 
 import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .covering import (CoveringError, DimerCovering, impurities,
+from .covering import (DimerCovering, check_covering, impurities,
                        validate_covering)
 from .lattice import InvalidInputError, Vertex, edge, reach
 
@@ -44,11 +44,6 @@ class LocalMove:
     @property
     def adds(self):
         return (edge(self.b, self.c), edge(self.d, self.a))
-
-    def reverse(self) -> "LocalMove":
-        if self.kind == "s":
-            return LocalMove("s", self.b, self.c, self.d, self.a)
-        return LocalMove("t", self.c, self.b, self.a, self.d)
 
     def sort_key(self):
         return (self.kind, tuple(sorted(self.removes)))
@@ -122,8 +117,10 @@ def site_move(mate, site):
 
     The move replaces dimers {a,b},{c,d} by {b,c},{d,a}; swap applies
     it to the mate map.  A square (bl, br, tr, tl) or t-site
-    (a, b, c, d) has two states that admit a move, and the second
-    state's move is LocalMove.reverse of the first's.
+    (a, b, c, d) admits a move in two states, and this is the only
+    place either is written: (a, b, c, d) from {a,b},{c,d}, and back
+    from {b,c},{d,a} as (b, c, d, a) at a square, (c, b, a, d) at a
+    t-site.
     """
     kind, a, b, c, d = site
     if mate[a] == b and mate[c] == d:
@@ -221,22 +218,15 @@ def apply_move(m: DimerCovering, mv: LocalMove) -> DimerCovering:
     return validate_covering(m.graph, dimers)
 
 
-def _check_start(g, m: DimerCovering):
-    """Check that m's dimers cover g and that its mate map agrees with
-    them; a walk from m trusts every move after this."""
-    if validate_covering(g, m.dimers)._mate != m._mate:
-        raise CoveringError("the mate map disagrees with the dimers")
-
-
 def t_class(m: DimerCovering):
     """The full t-equivalence class of m.
 
-    m is validated once; its members come from trusted moves.  A t-move
+    m is checked once; its members come from trusted moves.  A t-move
     (a, b, c, d) from site_move removes the impurity {a,b} and adds the
     impurity {b,c}, so each member's impurities are carried along the
     walk and its t-moves are read off the diagonal index.
     """
-    _check_start(m.graph, m)
+    check_covering(m.graph, m)
     index = _t_site_index(m.graph)
     impurity_sets = {m: frozenset(impurities(m))}
 
@@ -283,21 +273,18 @@ def t_classes(coverings):
     return classes
 
 
-def move_graph_connected(g, coverings=None) -> bool:
-    """Whether s- and t-moves together connect all coverings of g.
+def move_graph_connected(g, coverings) -> bool:
+    """Whether s- and t-moves together connect coverings, all those of g.
 
-    The walk starts from coverings[0], validated once, and moves only
+    The walk starts from coverings[0], checked once, and moves only
     among the supplied coverings, found by their dimers; each of them is
     read through its own mate map.  A move that leaves them raises
     IncompleteCoveringSetError.
     """
-    from .oracle import enumerate_coverings
-    if coverings is None:
-        coverings = enumerate_coverings(g)
     if not coverings:
         return True
     start = coverings[0]
-    _check_start(g, start)
+    check_covering(g, start)
     by_dimers = {m.dimers: m for m in coverings}
     by_dimers[start.dimers] = start
     sites = proposal_sites(g)

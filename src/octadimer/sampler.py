@@ -11,7 +11,7 @@ counts differ between neighboring states.  A graph with no sites
 holds on every step and draws nothing.
 
 The random source is Python's Mersenne-Twister generator; the report
-records the algorithm tag so runs remain auditable if the stdlib ever
+names the algorithm so runs remain auditable if the stdlib ever
 changes.  `run` draws its sites in blocks of 32-bit words, and the
 site sequence equals that of one `randrange(len(sites))` per step,
 which is what `step` calls: for n < 2**32, `randrange(n)` takes the
@@ -23,10 +23,11 @@ words, the first one lowest.
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
-from .covering import DimerCovering, impurities, validate_covering
+from .covering import (DimerCovering, check_covering, impurities,
+                       validate_covering)
 from .lattice import InvalidInputError, edge
 from .moves import LocalMove, apply_move, proposal_sites, site_move, swap
 
@@ -61,9 +62,11 @@ class SampleReport:
     accepted: int
     n_samples: int
     impurity_counts: dict            # diagonal Edge -> occupation count
-    state_counts: dict = field(default_factory=dict)
-    trajectory: list = field(default_factory=list)
-    rng_algorithm: str = RNG_ALGORITHM
+    trajectory: list                 # sampled dimer tuples, if kept
+
+    @property
+    def rng_algorithm(self):
+        return RNG_ALGORITHM
 
     @property
     def acceptance_rate(self):
@@ -105,7 +108,7 @@ def _site_blocks(sites, rng):
         yield [sites[x] for x in [w >> shift for w in words] if x < n]
 
 
-def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
+def run(m0: DimerCovering, cfg: ChainConfig,
         keep_trajectory=False) -> SampleReport:
     """Run the chain from m0, thinning samples after burn-in.
 
@@ -117,23 +120,21 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
     [since, i) with before(i) - before(since) samples of that state
     just before an accepted move at step i changes what is counted;
     the last interval closes at cfg.steps.  What is counted changes on
-    every t-move, and on every move when states or the trajectory are
-    kept.
+    every t-move, and on every move when the trajectory is kept.
 
     The impurities (diagonal dimers) are kept as a set through the run
     rather than found again on each interval.  An s-move never touches
     a diagonal dimer, and a t-move returned by site_move as (a, b, c, d)
     always removes the diagonal {a,b} and adds the diagonal {b,c}, so
-    only accepted t-moves update the set.
+    only accepted t-moves update the set.  m0 is checked once, up front.
     """
     g = m0.graph
+    check_covering(g, m0)
     mate = m0.mate_map()
     impurity_set = set(impurities(m0))
     burn_in, every = cfg.burn_in, cfg.sample_every
-    keep_states = track_states or keep_trajectory
     accepted = 0
     impurity_counts = {}
-    state_counts = {}
     trajectory = []
 
     def before(x):
@@ -145,12 +146,9 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
             return
         for e in impurity_set:
             impurity_counts[e] = impurity_counts.get(e, 0) + n
-        if keep_states:
+        if keep_trajectory:
             key = tuple(sorted((v, w) for v, w in mate.items() if v < w))
-            if track_states:
-                state_counts[key] = state_counts.get(key, 0) + n
-            if keep_trajectory:
-                trajectory.extend([key] * n)
+            trajectory.extend([key] * n)
 
     since = 0
     draws = chain.from_iterable(_site_blocks(proposal_sites(g),
@@ -161,7 +159,7 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
             continue
         accepted += 1
         t_move = site[0] == "t"
-        if t_move or keep_states:
+        if t_move or keep_trajectory:
             credit(since, i)
             since = i
         a, b, c, d = mv
@@ -172,4 +170,4 @@ def run(m0: DimerCovering, cfg: ChainConfig, track_states=False,
     credit(since, cfg.steps)
     final = validate_covering(g, [(v, w) for v, w in mate.items() if v < w])
     return SampleReport(cfg, final, accepted, before(cfg.steps),
-                        impurity_counts, state_counts, trajectory)
+                        impurity_counts, trajectory)

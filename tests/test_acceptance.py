@@ -166,10 +166,11 @@ def test_criterion_8_sampler_statistics(ell, ell_coverings):
 
     # uniformity over the 328 states, thinned lightly for sample volume
     rep = run(m0, ChainConfig(seed=20260825, steps=10 ** 6,
-                              sample_every=10), track_states=True)
+                              sample_every=10), keep_trajectory=True)
     n = rep.n_samples
-    tv = 0.5 * (sum(abs(c / n - 1 / 328) for c in rep.state_counts.values())
-                + (328 - len(rep.state_counts)) / 328)
+    states = Counter(rep.trajectory)
+    tv = 0.5 * (sum(abs(c / n - 1 / 328) for c in states.values())
+                + (328 - len(states)) / 328)
     assert tv < 0.05, "TV distance %.4f" % tv
 
     # binomial z-test needs near-independent draws, so thin harder
@@ -189,4 +190,4 @@ def test_criterion_8_sampler_statistics(ell, ell_coverings):
 
 def test_criterion_9_move_graph_connected():
     for tri in suite_regions():
-        assert move_graph_connected(tri.g)
+        assert move_graph_connected(tri.g, enumerate_coverings(tri.g))

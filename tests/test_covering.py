@@ -2,8 +2,9 @@
 
 import pytest
 
-from octadimer.covering import (DoublyCoveredVertexError, ForeignEdgeError,
-                                OddImbalanceError, UncoveredVertexError,
+from octadimer.covering import (CoveringError, DoublyCoveredVertexError,
+                                ForeignEdgeError, OddImbalanceError,
+                                UncoveredVertexError,
                                 covering_from_obj, covering_to_obj,
                                 expected_impurity_count, impurities,
                                 validate_covering)
@@ -34,7 +35,7 @@ def test_dimers_canonicalized():
     assert len({m, m}) == 1
 
 
-def test_validation_errors():
+def test_validation_errors(ell):
     g = unit_square_graph()
     with pytest.raises(UncoveredVertexError) as exc:
         validate_covering(g, [((0, 0), (1, 0))])
@@ -46,6 +47,18 @@ def test_validation_errors():
         validate_covering(g, [((0, 0), (2, 0)), ((0, 1), (1, 1))])
     with pytest.raises(OddImbalanceError):
         expected_impurity_count(build_normal_graph([(0, 0)]))
+    # a dimer that is not a pair of points, or dimers that are not
+    # iterable, raise the typed error, not TypeError or ValueError
+    rest = list(initial_covering(ell).dimers)
+    for bad in (5, ((0, 0), 5), (None, None), ((0, 0), (0, 1), (1, 1)),
+                ((0, 0), ([0], [1])), ((0, 0), (0, None))):
+        with pytest.raises(CoveringError) as exc:
+            validate_covering(ell.g, [bad] + rest)
+        assert type(exc.value) is CoveringError
+        assert "not a pair of points" in str(exc.value)
+    with pytest.raises(CoveringError) as exc:
+        validate_covering(ell.g, None)
+    assert type(exc.value) is CoveringError
 
 
 def test_expected_impurity_count(ell, diamond):

@@ -4,12 +4,13 @@ Frozen numbers: the L-region system (det 56, p = 1/7, 2/7, 2/7, total
 328) and the strip determinants 4, 15, 56, 209, 780, 2911, 10864,
 40545, which obey a_n = 4 a_{n-1} - a_{n-2} and the closed form in
 powers of 2 +- sqrt(3).  The sparse integer elimination is checked
-against a naive dense Fraction Gauss-Jordan, kept here as the reference
-(and used on random polyominoes in test_properties.py), also with the
-faces in orders other than build_system's, and on the larger squares by
-its exact residual and a determinant mod a prime.  The square regions
-and the residual check are those of bench/ladder.py, which runs the
-same check in CI; the seeded 60-face polyomino is the one
+against a dense fraction-free Gauss-Jordan with row swaps, kept here as
+the reference (and used on random polyominoes in test_properties.py),
+and by the exact residual A N = |det A| b on the dense rows, also with
+the faces in orders other than build_system's, and on the larger
+squares by its exact residual and a determinant mod a prime.  The
+square regions and the residual check are those of bench/ladder.py,
+which runs the same check in CI; the seeded 60-face polyomino is the one
 perfbench/inputs.py draws for the exact workload.
 """
 
@@ -66,30 +67,47 @@ def dense_rows(sys):
 
 
 def reference_solve(sys):
-    """det A and p by Gauss-Jordan over Fraction, with no integer tricks."""
+    """det A and N = |det A| A^-1 b by the textbook fraction-free
+    Gauss-Jordan elimination of the dense rows [A | b], with row swaps.
+
+    Step k turns every row i != k into (p r_i - r_ik r_k) / prev, where
+    p is the pivot and prev the pivot before it; the division is exact.
+    At the end each diagonal entry is det of the row-swapped A, and
+    column n holds it times the solution.
+    """
     n = len(sys.order)
-    m = [[Fraction(x) for x in row] + [Fraction(sys.b[i])]
-         for i, row in enumerate(dense_rows(sys))]
-    det = Fraction(1)
+    m = [row + [sys.b[i]] for i, row in enumerate(dense_rows(sys))]
+    sign, prev = 1, 1
     for k in range(n):
         pivot = next(i for i in range(k, n) if m[i][k])
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
+            sign = -sign
+        row_k = m[k]
+        p = row_k[k]
         for i in range(n):
-            if i != k and m[i][k]:
-                r = m[i][k] / m[k][k]
-                m[i] = [x - r * y for x, y in zip(m[i], m[k])]
-    return det, [m[i][n] / m[i][i] for i in range(n)]
+            if i != k:
+                r = m[i][k]
+                m[i] = [(p * x - r * y) // prev for x, y in zip(m[i], row_k)]
+        prev = p
+    assert all(m[i][i] == prev for i in range(n))
+    unit = 1 if prev > 0 else -1
+    return sign * prev, [unit * row[n] for row in m]
+
+
+def assert_solves(sys, det, counts):
+    """A N == |det A| b exactly, over the dense rows of A."""
+    for row, b in zip(dense_rows(sys), sys.b):
+        assert sum(x * c for x, c in zip(row, counts)) == det * b
 
 
 def assert_matches_reference(tri):
     sys = build_system(tri.h_perp)
     det, counts = eliminate(sys)
-    ref_det, ref_p = reference_solve(sys)
+    ref_det, ref_counts = reference_solve(sys)
     assert det == abs(ref_det) > 0
-    assert list(counts) == [det * p for p in ref_p]
+    assert list(counts) == ref_counts
+    assert_solves(sys, det, counts)
 
 
 def test_ell_system(ell):
@@ -314,9 +332,10 @@ def test_elimination_is_order_free(region, how):
     det2, counts2 = eliminate(other)
     assert det2 == det
     assert dict(zip(other.order, counts2)) == dict(zip(sys.order, counts))
-    ref_det, ref_p = reference_solve(other)
+    ref_det, ref_counts = reference_solve(other)
     assert det2 == abs(ref_det)
-    assert list(counts2) == [det2 * p for p in ref_p]
+    assert list(counts2) == ref_counts
+    assert_solves(other, det2, counts2)
 
 
 def det_mod(a, p):

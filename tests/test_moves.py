@@ -5,7 +5,9 @@ is scanned through find_moves for each class member, and each t-move is
 applied to a set of dimers.  t_class, t_classes and class_bijection are
 checked against it.  t_class and move_graph_connected validate only the
 covering they start from, so the members they build unchecked are
-checked here against validate_covering.
+checked here against validate_covering.  A move is undone by the one
+move find_moves offers back (move_back), so the second state of each
+site is read by site_move alone.
 """
 
 from collections import Counter
@@ -34,6 +36,16 @@ def reference_apply(m, mv):
         dimers.remove(e)
     dimers.update(mv.adds)
     return validate_covering(m.graph, dimers)
+
+
+def move_back(m2, mv):
+    """The one move of m2 that removes mv's added edges and adds its
+    removed ones: the move that undoes mv."""
+    back = [b for b in find_moves(m2) if b.kind == mv.kind
+            and set(b.removes) == set(mv.adds)
+            and set(b.adds) == set(mv.removes)]
+    assert len(back) == 1, back
+    return back[0]
 
 
 def reference_t_class(m):
@@ -87,7 +99,7 @@ def test_s_move_flips_square():
     assert len(mvs) == 1 and mvs[0].kind == "s"
     v = apply_move(h, mvs[0])
     assert v.dimers == (((0, 0), (0, 1)), ((1, 0), (1, 1)))
-    assert apply_move(v, mvs[0].reverse()) == h
+    assert apply_move(v, move_back(v, mvs[0])) == h
 
 
 def test_initial_covering_moves(ell):
@@ -99,7 +111,7 @@ def test_initial_covering_moves(ell):
     for mv in mvs:
         m2 = apply_move(m, mv)
         assert m2 != m
-        assert apply_move(m2, mv.reverse()) == m
+        assert apply_move(m2, move_back(m2, mv)) == m
         assert len(impurities(m2)) == len(impurities(m))
 
 
@@ -120,14 +132,12 @@ def test_degenerate_move_is_inapplicable(ell):
 
 
 def test_move_relation_symmetric(ell, ell_coverings):
-    # u reaches v by mv iff v reaches u by mv.reverse(), and the
-    # reversed move swaps the removed/added edge pairs
+    # u reaches v by mv iff v reaches u by the one move of v that
+    # swaps mv's removed and added edge pairs
     for m in ell_coverings[::37]:
         for mv in find_moves(m):
             m2 = apply_move(m, mv)
-            assert apply_move(m2, mv.reverse()) == m
-            assert set(mv.reverse().removes) == set(mv.adds)
-            assert set(mv.reverse().adds) == set(mv.removes)
+            assert apply_move(m2, move_back(m2, mv)) == m
 
 
 def test_t_classes_partition(ell, ell_coverings):
@@ -191,8 +201,8 @@ def test_t_class_of_initial(ell):
 def test_move_graph_connected(ell, ell_coverings, strip1, strip2):
     assert move_graph_connected(ell.g, ell_coverings)
     assert move_graph_connected(ell.g, ell_coverings[::-1])
-    assert move_graph_connected(strip1.g)
-    assert move_graph_connected(strip2.g)
+    assert move_graph_connected(strip1.g, enumerate_coverings(strip1.g))
+    assert move_graph_connected(strip2.g, enumerate_coverings(strip2.g))
 
 
 def test_move_graph_connected_rejects_a_set_not_closed_under_moves(
@@ -221,6 +231,8 @@ def test_walks_reject_a_mate_map_that_disagrees_with_the_dimers(
         t_class(wrong_mate(m))
     with pytest.raises(CoveringError):
         move_graph_connected(ell.g, [wrong_mate(m)] + ell_coverings)
+    with pytest.raises(CoveringError):     # the chain trusts its moves too
+        run(wrong_mate(m), ChainConfig(seed=1, steps=2000))
     with pytest.raises(CoveringError):     # dimers that cover nothing
         t_class(DimerCovering(ell.g, m.dimers[1:], m.mate_map()))
 

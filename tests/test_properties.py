@@ -43,7 +43,7 @@ from strategies import regions
 from test_cli import STRIP1
 from test_kirchhoff import assert_matches_reference
 from test_lattice import face_neighbors, flood_has_hole
-from test_moves import reference_t_class
+from test_moves import move_back, reference_t_class
 from test_slits import reference_slit_curves
 
 points = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
@@ -139,7 +139,7 @@ def test_moves_are_reversible(tri, rnd):
         assert mvs
         mv = rnd.choice(mvs)
         m2 = apply_move(m, mv)
-        assert apply_move(m2, mv.reverse()) == m
+        assert apply_move(m2, move_back(m2, mv)) == m
         assert len(impurities(m2)) == 1
         m = m2
 

@@ -88,12 +88,12 @@ def test_steps_replay_run(request, name):
 def test_deterministic_given_seed(ell):
     m0 = initial_covering(ell)
     cfg = ChainConfig(seed=123, steps=4000, sample_every=7)
-    r1 = run(m0, cfg, track_states=True)
-    r2 = run(m0, cfg, track_states=True)
+    r1 = run(m0, cfg, keep_trajectory=True)
+    r2 = run(m0, cfg, keep_trajectory=True)
     assert r1.final == r2.final
     assert r1.accepted == r2.accepted
     assert r1.impurity_counts == r2.impurity_counts
-    assert r1.state_counts == r2.state_counts
+    assert r1.trajectory == r2.trajectory
     assert r1.rng_algorithm == RNG_ALGORITHM
     r3 = run(m0, ChainConfig(seed=124, steps=4000, sample_every=7))
     assert r3.impurity_counts != r1.impurity_counts
@@ -114,18 +114,18 @@ def test_two_state_chain_alternates():
     # chain flips deterministically; every=2 would alias to one state
     g = unit_square_graph()
     h = validate_covering(g, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
-    rep = run(h, ChainConfig(seed=2, steps=20000), track_states=True)
+    rep = run(h, ChainConfig(seed=2, steps=20000), keep_trajectory=True)
     assert rep.acceptance_rate == 1.0
-    assert sorted(rep.state_counts.values()) == [10000, 10000]
+    assert sorted(Counter(rep.trajectory).values()) == [10000, 10000]
 
 
 def test_visits_all_strip_states(strip1):
     m0 = initial_covering(strip1)
     rep = run(m0, ChainConfig(seed=11, steps=30000, sample_every=3),
-              track_states=True)
-    assert len(rep.state_counts) == len(enumerate_coverings(strip1.g)) == 12
-    tv = 0.5 * sum(abs(c / rep.n_samples - 1 / 12)
-                   for c in rep.state_counts.values())
+              keep_trajectory=True)
+    states = Counter(rep.trajectory)
+    assert len(states) == len(enumerate_coverings(strip1.g)) == 12
+    tv = 0.5 * sum(abs(c / rep.n_samples - 1 / 12) for c in states.values())
     assert tv < 0.08
 
 
@@ -167,7 +167,7 @@ def test_impurity_counts_match_trajectory(request, name, every, burn_in):
         assert sum(tally.values()) == 4 * rep.n_samples
 
 
-def reference_run(m0, cfg, track_states=False, keep_trajectory=False):
+def reference_run(m0, cfg, keep_trajectory=False):
     """The per-step chain: one randrange and one thinning test per step."""
     g = m0.graph
     sites = proposal_sites(g)
@@ -175,7 +175,7 @@ def reference_run(m0, cfg, track_states=False, keep_trajectory=False):
     impurity_set = set(impurities(m0))
     rng = random.Random(cfg.seed)
     accepted = n_samples = 0
-    impurity_counts, state_counts, trajectory = {}, {}, []
+    impurity_counts, trajectory = {}, []
     for i in range(cfg.steps):
         mv = None
         if sites:
@@ -192,39 +192,34 @@ def reference_run(m0, cfg, track_states=False, keep_trajectory=False):
             n_samples += 1
             for e in impurity_set:
                 impurity_counts[e] = impurity_counts.get(e, 0) + 1
-            if track_states or keep_trajectory:
-                key = tuple(sorted((v, w) for v, w in mate.items() if v < w))
-                if track_states:
-                    state_counts[key] = state_counts.get(key, 0) + 1
-                if keep_trajectory:
-                    trajectory.append(key)
+            if keep_trajectory:
+                trajectory.append(
+                    tuple(sorted((v, w) for v, w in mate.items() if v < w)))
     final = validate_covering(g, [(v, w) for v, w in mate.items() if v < w])
     return SampleReport(cfg, final, accepted, n_samples,
-                        impurity_counts, state_counts, trajectory)
+                        impurity_counts, trajectory)
 
 
 def _fields(rep):
     return (rep.config, rep.final, rep.accepted, rep.n_samples,
-            list(rep.impurity_counts.items()),
-            list(rep.state_counts.items()), rep.trajectory,
+            list(rep.impurity_counts.items()), rep.trajectory,
             rep.rng_algorithm)
 
 
 @pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square"])
-@pytest.mark.parametrize("track_states", [False, True])
 @pytest.mark.parametrize("keep_trajectory", [False, True])
-def test_run_matches_reference(request, name, track_states, keep_trajectory):
+def test_run_matches_reference(request, name, keep_trajectory):
     # counting per interval gives what sampling each step gives, in the
     # same dict insertion order
     m0 = _start(request, name)
-    flags = dict(track_states=track_states, keep_trajectory=keep_trajectory)
     for steps in (0, 1, 500):
         for burn_in in (0, 5, steps, steps + 3):
             for every in (1, 3, 7, 100):
                 cfg = ChainConfig(seed=steps + every, steps=steps,
                                   burn_in=burn_in, sample_every=every)
-                assert (_fields(run(m0, cfg, **flags))
-                        == _fields(reference_run(m0, cfg, **flags))), cfg
+                got = run(m0, cfg, keep_trajectory)
+                want = reference_run(m0, cfg, keep_trajectory)
+                assert _fields(got) == _fields(want), cfg
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,
@@ -250,12 +245,11 @@ def test_no_sites_holds_without_drawing():
     assert step(m0, rng) is m0
     assert rng.getstate() == state
     cfg = ChainConfig(seed=4, steps=50, burn_in=5, sample_every=3)
-    rep = run(m0, cfg, track_states=True, keep_trajectory=True)
+    rep = run(m0, cfg, keep_trajectory=True)
     key = tuple(m0.dimers)
     assert rep.final == m0 and rep.accepted == 0
     assert rep.n_samples == 15      # ceil(45 / 3)
     assert rep.impurity_counts == {}
-    assert rep.state_counts == {key: 15}
     assert rep.trajectory == [key] * 15
-    assert _fields(rep) == _fields(reference_run(
-        m0, cfg, track_states=True, keep_trajectory=True))
+    assert _fields(rep) == _fields(reference_run(m0, cfg,
+                                                 keep_trajectory=True))
