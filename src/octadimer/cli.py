@@ -18,7 +18,8 @@ from collections import Counter
 from fractions import Fraction
 
 from . import kirchhoff, moves, oracle, render, sampler, slits, temperley
-from .covering import covering_from_obj, covering_to_obj, impurities
+from .covering import (covering_from_obj, covering_to_obj,
+                       expected_impurity_count, validate_covering)
 from .lattice import (InvalidInputError, Region, build_region,
                       diagonal_edges, edge, strip_region, ell_region)
 
@@ -58,12 +59,11 @@ def _load_region(path):
         _fail(2, type(exc).__name__, "region file %s: %r" % (path, exc))
 
 
-def _load_covering(tri, path):
-    return covering_from_obj(tri.g, _load_json(path))
-
-
-def _edge_key(e):
-    return json.dumps([list(e[0]), list(e[1])])
+def _covering_or_initial(tri, path):
+    """The covering in the file at path, else the tree-built covering."""
+    if path:
+        return covering_from_obj(tri.g, _load_json(path))
+    return temperley.initial_covering(tri)
 
 
 def cmd_build(args):
@@ -77,7 +77,7 @@ def cmd_build(args):
         "edges": len(g.edges),
         "whites": g.white_count,
         "blacks": g.black_count,
-        "expected_impurities": (g.white_count - g.black_count) // 2,
+        "expected_impurities": expected_impurity_count(g),
         "d_star": tri.h_perp.d_star,
         "e_star1": [list(v) for v in tri.e_star1],
         "e_star2": [list(v) for v in tri.e_star2],
@@ -104,34 +104,27 @@ def cmd_enumerate(args):
 
 def cmd_prob(args):
     tri = _load_region(args.region)
-    counts = kirchhoff.region_counts(tri)
+    p = kirchhoff.region_counts(tri)
     edges = []
     for e in diagonal_edges(tri.g):
-        count = counts.at[kirchhoff.impurity_face(tri, e)]
+        count = p.counts[kirchhoff.impurity_face(tri, e)]
         edges.append({
             "edge": [list(e[0]), list(e[1])],
             "count": str(count),
-            "probability": str(Fraction(count, counts.total)),
+            "probability": str(Fraction(count, p.total)),
         })
     _emit({
-        "det_A": str(counts.det),
-        "p": {_vertex_key(v): str(Fraction(n, counts.det))
-              for v, n in counts.at.items()},
-        "total": str(counts.total),
+        "det_A": str(p.det),
+        "p": {json.dumps(v): str(p[v]) for v in p},
+        "total": str(p.total),
         "d_star": tri.h_perp.d_star,
         "edge_probabilities": edges,
     })
 
 
-def _vertex_key(v):
-    return json.dumps(list(v))
-
-
 def cmd_moves(args):
     tri = _load_region(args.region)
-    m = (_load_covering(tri, args.covering) if args.covering
-         else temperley.initial_covering(tri))
-    found = moves.find_moves(m)
+    found = moves.find_moves(_covering_or_initial(tri, args.covering))
     kinds = Counter(site[0] for site in moves.proposal_sites(tri.g))
     _emit({
         "sites": {"squares": kinds["s"], "t_sites": kinds["t"]},
@@ -145,8 +138,7 @@ def cmd_moves(args):
 
 def cmd_sample(args):
     tri = _load_region(args.region)
-    m0 = (_load_covering(tri, args.m0) if args.m0
-          else temperley.initial_covering(tri))
+    m0 = _covering_or_initial(tri, args.m0)
     cfg = sampler.ChainConfig(seed=args.seed, steps=args.steps,
                               burn_in=args.burn_in, sample_every=args.every)
     if args.frames:
@@ -158,9 +150,8 @@ def cmd_sample(args):
     report = sampler.run(m0, cfg, keep_trajectory=bool(args.frames))
     if args.frames:
         for i, dimers in enumerate(report.trajectory):
-            m = covering_from_obj(tri.g, {"dimers": dimers})
             _write(os.path.join(args.frames, "frame_%06d.svg" % i),
-                   render.render_covering(m))
+                   render.render_covering(validate_covering(tri.g, dimers)))
     final_obj = covering_to_obj(report.final)
     final_obj["curves"] = [[list(p) for p in c.points]
                            for c in sorted(slits.slit_curves(report.final),
@@ -171,9 +162,9 @@ def cmd_sample(args):
         "rng_algorithm": report.rng_algorithm,
         "acceptance_rate": report.acceptance_rate,
         "n_samples": report.n_samples,
-        "impurity_counts": {_edge_key(e): c for e, c
+        "impurity_counts": {json.dumps(e): c for e, c
                             in report.impurity_counts.items()},
-        "impurity_frequencies": {_edge_key(e): f for e, f
+        "impurity_frequencies": {json.dumps(e): f for e, f
                                  in report.impurity_frequencies().items()},
         "final_covering": final_obj,
     })
@@ -181,8 +172,7 @@ def cmd_sample(args):
 
 def cmd_render(args):
     tri = _load_region(args.region)
-    m = (_load_covering(tri, args.covering) if args.covering
-         else temperley.initial_covering(tri))
+    m = _covering_or_initial(tri, args.covering)
     svg = render.render_covering(m, show_slits=args.slits,
                                  show_forests=args.forests)
     if args.out:
@@ -203,13 +193,12 @@ def _check(label, got, want):
 def cmd_selftest(args):
     ok = True
     tri = build_region(ell_region())
-    sys_ = kirchhoff.build_system(tri.h_perp)
-    p = kirchhoff.solve_p(sys_, tri.f_star)
-    ok &= _check("L-region det A = 56", kirchhoff.tree_count(sys_), 56)
+    p = kirchhoff.region_counts(tri)
+    ok &= _check("L-region det A = 56", p.det, 56)
     ok &= _check("L-region p = (1/7, 2/7, 2/7, 1)",
                  [str(p[v]) for v in sorted(p)],
                  ["1/7", "2/7", "2/7", "1"])
-    ok &= _check("L-region total = 328", kirchhoff.total_coverings(tri), 328)
+    ok &= _check("L-region total = 328", p.total, 328)
     e13 = edge((1, 3), (2, 4))
     ok &= _check("L-region impurity count at (1,3) edge = 16",
                  kirchhoff.coverings_with_impurity(tri, e13), 16)
@@ -219,7 +208,7 @@ def cmd_selftest(args):
     ok &= _check("L-region oracle count = 328", len(ms), 328)
     hist = oracle.impurity_histogram(tri.g, ms)
     ok &= _check("L-region histogram matches det*p edge-by-edge",
-                 all(hist[e] == kirchhoff.coverings_with_impurity(tri, e)
+                 all(hist[e] == p.counts[kirchhoff.impurity_face(tri, e)]
                      for e in hist), True)
     ok &= _check("L-region t-classes = 56",
                  len(moves.t_classes(ms)), 56)

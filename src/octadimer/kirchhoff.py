@@ -15,15 +15,17 @@ whose T* contains v hosts one covering per diagonal edge at v: four
 for every face vertex, d* + 1 for f*.  Hence
 
     #coverings with impurity at {x, .} = |det A| p_x,
-    #coverings in total = |det A| (4 sum_v p_v + d* - 3),
+    #coverings in total = |det A| (4 sum_v p_v + d* + 1),
 
-the sum running over all of V(H-perp) with p_f* = 1.
+the sum running over the faces.
 
 Every count is an integer: one fraction-free elimination of [A | b]
 per region (eliminate, called once by solve_p) yields |det A| and
 |det A| p together, and the integers |det A| p_v are the per-edge
-counts themselves.  Fraction appears only where a probability is read
-out: a Solution's items and impurity_probability.
+counts themselves.  solve_p returns them with the total as one
+Solution; region_counts adds f* with p_f* = 1.  Fraction appears only
+where a probability is read out: a Solution's items and
+impurity_probability.
 """
 
 from collections.abc import Mapping
@@ -175,15 +177,18 @@ def tree_count(sys: LaplacianSystem) -> int:
 
 
 class Solution(Mapping):
-    """The exact solution p of A p = b over one common denominator.
+    """Everything one solve of A p = b gives, over one common denominator.
 
-    det is |det A| and counts[v] the integer |det A| p_v (Cramer's
-    rule); read as a mapping, a Solution is v -> Fraction p_v.
+    det is |det A|, the number of t-classes; counts[v] is the integer
+    |det A| p_v (Cramer's rule), the number of coverings with the
+    impurity on any one given diagonal edge at v; total is the number of
+    coverings.  Read as a mapping, a Solution is v -> Fraction p_v.
     """
 
-    def __init__(self, det: int, counts: dict):
+    def __init__(self, det: int, counts: dict, total: int):
         self.det = det
         self.counts = counts
+        self.total = total
 
     def __getitem__(self, v) -> Fraction:
         return Fraction(self.counts[v], self.det)
@@ -195,32 +200,18 @@ class Solution(Mapping):
         return len(self.counts)
 
 
-def solve_p(sys: LaplacianSystem, f_star=None) -> Solution:
-    """Exact solution of A p = b, with p_f* = 1 adjoined when given."""
+def solve_p(sys: LaplacianSystem) -> Solution:
+    """Exact solution of A p = b over the faces, with the covering total."""
     det, counts = eliminate(sys)
-    counts = dict(zip(sys.order, counts))
-    if f_star is not None:
-        counts[f_star] = det
-    return Solution(det, counts)
+    return Solution(det, dict(zip(sys.order, counts)),
+                    4 * sum(counts) + (sys.d_star + 1) * det)
 
 
-@dataclass(frozen=True)
-class RegionCounts:
-    det: int              # |det A|, the number of t-classes
-    at: dict              # dual vertex v -> |det A| p_v, with p_f* = 1
-    total: int            # all coverings of G
-
-
-def region_counts(tri: TemperleyTriple) -> RegionCounts:
-    """Every count of a region, from one solve.
-
-    at[v] is the number of coverings with the impurity on any one given
-    diagonal edge at v.
-    """
-    sys = build_system(tri.h_perp)
-    p = solve_p(sys, tri.f_star)
-    return RegionCounts(p.det, p.counts,
-                        4 * sum(p.counts.values()) + (sys.d_star - 3) * p.det)
+def region_counts(tri: TemperleyTriple) -> Solution:
+    """Every count of a region from one solve, f* -> |det A| included."""
+    p = solve_p(build_system(tri.h_perp))
+    p.counts[tri.f_star] = p.det
+    return p
 
 
 def impurity_face(tri: TemperleyTriple, e: Edge):
@@ -237,14 +228,14 @@ def coverings_with_impurity(tri: TemperleyTriple, e: Edge) -> int:
     """How many coverings of G put their impurity on the diagonal e.
 
     Each call solves the whole region; for several edges, call
-    region_counts once and read `at[impurity_face(tri, e)]`.
+    region_counts once and read `counts[impurity_face(tri, e)]`.
     """
     x = impurity_face(tri, e)
-    return region_counts(tri).at[x]
+    return region_counts(tri).counts[x]
 
 
 def total_coverings(tri: TemperleyTriple) -> int:
-    """|det A| (4 sum p_v + d* - 3) over all dual vertices.
+    """|det A| (4 sum p_v + d* + 1) over the faces.
 
     Each call solves the whole region; region_counts gives this total
     together with det A and the per-edge counts from one solve.
@@ -256,8 +247,9 @@ def impurity_probability(tri: TemperleyTriple, e: Edge) -> Fraction:
     """Chance that a uniform covering of G has its impurity on e.
 
     Each call solves the whole region; for several edges, call
-    region_counts once and divide `at[impurity_face(tri, e)]` by `total`.
+    region_counts once and divide `counts[impurity_face(tri, e)]` by
+    `total`.
     """
     x = impurity_face(tri, e)
-    counts = region_counts(tri)
-    return Fraction(counts.at[x], counts.total)
+    p = region_counts(tri)
+    return Fraction(p.counts[x], p.total)

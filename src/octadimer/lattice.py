@@ -330,8 +330,6 @@ class TemperleyTriple:
         self.e_star2 = e_star2
         self.f_star = region.f_star
         self.v_star = region.v_star
-        self.black_of_h_edge = {e: midpoint(e) for e in h_edges}
-        self.h_edge_of_black = {midpoint(e): e for e in h_edges}
 
 
 def build_region(region: Region) -> TemperleyTriple:

@@ -8,7 +8,7 @@ favor obviousness over speed and refuse inputs beyond desk scale.
 
 from itertools import combinations
 
-from .covering import DimerCovering, validate_covering
+from .covering import validate_covering
 from .lattice import is_diagonal_edge
 
 MATCHING_VERTEX_LIMIT = 34

@@ -23,8 +23,8 @@ class contains a covering with impurity {x, y} exactly when the odd
 endpoint x lies in T*.
 """
 
-from .covering import DimerCovering, impurities, validate_covering
-from .lattice import TemperleyTriple, Vertex, edge, reach
+from .covering import DimerCovering, validate_covering
+from .lattice import TemperleyTriple, edge, midpoint, reach
 from .moves import t_class, t_classes
 
 
@@ -108,19 +108,24 @@ def temperley_forward(tri: TemperleyTriple, t: RootedTree) -> DimerCovering:
     """The covering of N matching every non-root vertex to its parent edge."""
     dimers = []
     for x, (_, h) in t.up.items():
-        dimers.append(edge(x, tri.black_of_h_edge[h]))
+        dimers.append(edge(x, midpoint(h)))
     for u, (_, h) in dual_tree(tri, t).up.items():
-        dimers.append(edge(u, tri.black_of_h_edge[h]))
+        dimers.append(edge(u, midpoint(h)))
     return validate_covering(tri.n, dimers)
 
 
 def phi(tri: TemperleyTriple, m: DimerCovering) -> RootedTree:
-    """Read the spanning tree of H off a covering of N."""
+    """Read the spanning tree of H off a covering of N.
+
+    Each x other than v* is matched to the black b of one edge of H
+    through x, and that edge runs from x to 2b - x.
+    """
     h_edges = set()
     for x in tri.h_vertices:
         if x == tri.v_star:
             continue
-        h_edges.add(tri.h_edge_of_black[m.mate(x)])
+        b = m.mate(x)
+        h_edges.add(edge(x, (2 * b[0] - x[0], 2 * b[1] - x[1])))
     return tree_of_h(tri, h_edges)
 
 

@@ -259,11 +259,17 @@ def test_malformed_covering_points_exit_2(capsys, tmp_path, ell_file,
     (SQUARE4, ("sample", "{}", "--seed", "3", "--steps", "2000",
                "--every", "1"),
      "cffd835ba25f937bce79c26c32c471b7e622bb7391b0385074da6271c710da9c"),
+    (ELL, ("build", "{}"),
+     "f0a49d4e715d84b88b3c399bf2449eeca395fa6ff2b91dff3a5c26ddcc215fb7"),
+    (ELL, ("enumerate", "{}", "--histogram"),
+     "428b5a07aaee8b3a48db0a88cfe3a0fab4a3ab135db071024f0fd0def8a77494"),
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, region, argv, sha256):
     # sample and moves recorded before find_moves and the chain shared one
     # move kernel, prob before the Fraction solve became integer elimination,
-    # unthinned sample before run tracked the impurities through t-moves
+    # unthinned sample before run tracked the impurities through t-moves,
+    # build and enumerate before the CLI dropped _edge_key, _vertex_key and
+    # _load_covering
     p = tmp_path / "region.json"
     p.write_text(json.dumps(region))
     assert cli.main([a.format(p) for a in argv]) == 0

@@ -28,11 +28,12 @@ from octadimer import cli, kirchhoff
 from octadimer.kirchhoff import (LaplacianSystem, NotDiagonalError,
                                  NotInGError, SingularSystemError,
                                  build_system, coverings_with_impurity,
-                                 eliminate, impurity_probability, solve_p,
-                                 total_coverings, tree_count)
+                                 eliminate, impurity_probability,
+                                 region_counts, solve_p, total_coverings,
+                                 tree_count)
 from octadimer.lattice import (InvalidInputError, Region, RegionError,
                                build_region, ell_region, strip_region)
-from octadimer.oracle import impurity_histogram
+from octadimer.oracle import enumerate_coverings, impurity_histogram
 from octadimer.slits import impurity_curve
 from octadimer.temperley import initial_covering
 
@@ -53,6 +54,13 @@ _spec.loader.exec_module(inputs)
 def polyomino_region(seed, n):
     obj = inputs.polyomino(random.Random(seed), n)
     return Region.of(obj["faces"], obj["f_star"], obj["v_star"])
+
+
+# the region ladder the elimination and its results are checked on
+LADDER = ([strip_region(n) for n in range(1, 9)]
+          + [ell_region(), square_region(4), square_region(8)])
+LADDER_IDS = (["strip%d" % n for n in range(1, 9)]
+              + ["ell", "square4", "square8"])
 
 
 def dense_rows(sys):
@@ -125,12 +133,12 @@ def test_ell_det_and_p(ell):
     p = solve_p(sys)
     assert p == {(1, 1): Fraction(1, 7), (1, 3): Fraction(2, 7),
                  (3, 1): Fraction(2, 7)}
-    p = solve_p(sys, ell.f_star)
+    p = region_counts(ell)
     assert p[ell.f_star] == 1
 
 
 def test_solution_keeps_one_denominator(ell):
-    p = solve_p(build_system(ell.h_perp), ell.f_star)
+    p = region_counts(ell)
     assert p.det == 56
     assert p.counts == {(1, 1): 8, (1, 3): 16, (3, 1): 16, ell.f_star: 56}
     assert dict(p) == {v: Fraction(n, 56) for v, n in p.counts.items()}
@@ -290,12 +298,24 @@ def test_hand_built_rows_rejected(neighbors, b):
         assert not isinstance(err.value, SingularSystemError)
 
 
-@pytest.mark.parametrize("region", [strip_region(n) for n in range(1, 9)]
-                         + [ell_region(), square_region(4), square_region(8)],
-                         ids=["strip%d" % n for n in range(1, 9)]
-                         + ["ell", "square4", "square8"])
+@pytest.mark.parametrize("region", LADDER, ids=LADDER_IDS)
 def test_elimination_matches_reference(region):
     assert_matches_reference(build_region(region))
+
+
+@pytest.mark.parametrize("region", LADDER, ids=LADDER_IDS)
+def test_region_counts_is_the_face_solve_plus_f_star(region):
+    # one Solution carries det, the counts and the total; region_counts
+    # differs from the bare solve only by f* -> det
+    tri = build_region(region)
+    faces = solve_p(build_system(tri.h_perp))
+    p = region_counts(tri)
+    assert (p.det, p.total) == (faces.det, faces.total)
+    assert p.counts == {**faces.counts, tri.f_star: p.det}
+    assert tri.f_star not in faces and p[tri.f_star] == 1
+    if region in (strip_region(1), strip_region(2), strip_region(3),
+                  ell_region()):
+        assert p.total == len(enumerate_coverings(tri.g))
 
 
 def permuted(sys, order):
@@ -318,11 +338,8 @@ FACE_ORDERS = {
 
 
 @pytest.mark.parametrize("how", sorted(FACE_ORDERS))
-@pytest.mark.parametrize("region", [strip_region(n) for n in range(1, 9)]
-                         + [ell_region(), square_region(4), square_region(8),
-                            polyomino_region(3, 60)],
-                         ids=["strip%d" % n for n in range(1, 9)]
-                         + ["ell", "square4", "square8", "polyomino60"])
+@pytest.mark.parametrize("region", LADDER + [polyomino_region(3, 60)],
+                         ids=LADDER_IDS + ["polyomino60"])
 def test_elimination_is_order_free(region, how):
     # which rows a step updates is read off the pivot row, so no face
     # order is assumed: any order gives the same det and the same counts

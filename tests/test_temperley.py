@@ -12,7 +12,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from octadimer.covering import impurities, validate_covering
-from octadimer.kirchhoff import build_system, solve_p
+from octadimer.kirchhoff import region_counts
 from octadimer.lattice import diagonal_edges
 from octadimer.moves import t_class, t_classes
 from octadimer.oracle import enumerate_spanning_trees
@@ -76,8 +76,7 @@ def test_class_bijection_is_bijective(ell, ell_coverings):
 
 
 def test_support_frequencies_match_p(ell):
-    sys = build_system(ell.h_perp)
-    p = solve_p(sys, ell.f_star)
+    p = region_counts(ell)
     hits = defaultdict(int)
     trees = all_h_trees(ell)
     for keys in trees:
