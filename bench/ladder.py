@@ -9,9 +9,10 @@ moves.t_class on that run's final covering, on strips n = 1..8, the
 L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
 v* = (2k, 2)), each the median of five calls after one untimed call of
 the chain and t_class, so the per-graph site lists are built.  The
-L-region row also times oracle.enumerate_coverings and
-moves.move_graph_connected over its enumeration.  It checks every
-region's answers: the strip determinants follow
+L-region row also times oracle.enumerate_coverings and, over its
+enumeration, moves.move_graph_connected, moves.t_classes,
+temperley.class_bijection and slits.forests of every covering.  It
+checks every region's answers: the strip determinants follow
 a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every region the
 counts N = |det A| p from solve_p satisfy A N = |det A| b, with A and b
 rebuilt from the dual graph, not from the system under test; the
@@ -21,7 +22,9 @@ pair counted from G alone, and each impurity's diagonal midpoint lies
 on exactly one of them; and the t-class has 4(|T*| - 1) + d* + 1
 members, T* being slits.enclosed_dual_tree of the final covering's
 impurity curve; and on the L-region the oracle enumerates
-total_coverings coverings, which s- and t-moves connect.
+total_coverings coverings, which s- and t-moves connect, which fall
+into |det A| t-classes that biject with |det A| trees, and whose
+forest pairs each split G's whites into trees.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -48,10 +51,12 @@ import time
 
 import octadimer
 from octadimer import (ChainConfig, Region, build_region, build_system,
-                       ell_region, enclosed_dual_tree, enumerate_coverings,
-                       forests, impurities, impurity_curve, initial_covering,
+                       class_bijection, ell_region, enclosed_dual_tree,
+                       enumerate_coverings, forests, impurities,
+                       impurity_curve, initial_covering,
                        move_graph_connected, run, slit_curves, solve_p,
-                       strip_region, t_class, total_coverings, tree_count)
+                       strip_region, t_class, t_classes, total_coverings,
+                       tree_count)
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
@@ -163,10 +168,21 @@ def measure(name, region, repeats):
         t_enum, ms = median_time(lambda: enumerate_coverings(tri.g), repeats)
         t_conn, connected = median_time(
             lambda: move_graph_connected(tri.g, ms), repeats)
+        t_classes_s, classes = median_time(lambda: t_classes(ms), repeats)
+        t_bijection, trees = median_time(lambda: class_bijection(tri, ms),
+                                         repeats)
+        t_all_forests, pairs = median_time(lambda: list(map(forests, ms)),
+                                           repeats)
         record.update(coverings=len(ms), oracle_ok=len(ms) == total,
-                      connected=connected)
+                      connected=connected, t_classes=len(classes),
+                      classes_ok=len(classes) == len(trees) == det,
+                      forests_span=record["forests_span"] and all(
+                          forests_span(fp, tri.g) for fp in pairs))
         record["seconds"].update(enumerate_coverings=t_enum,
-                                 move_graph_connected=t_conn)
+                                 move_graph_connected=t_conn,
+                                 t_classes=t_classes_s,
+                                 class_bijection=t_bijection,
+                                 forests_all=t_all_forests)
     return record
 
 
@@ -216,7 +232,7 @@ def main(argv=None):
     ok = strip_recurrence_ok(records) and all(
         r["residual_ok"] and r["forests_span"] and r["curves_ok"]
         and r["t_class_ok"] and r.get("oracle_ok", True)
-        and r.get("connected", True)
+        and r.get("connected", True) and r.get("classes_ok", True)
         for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),
                       "correct": ok, "regions": records}, indent=1))

@@ -7,9 +7,10 @@ __version__ = "0.1.0"
 from .covering import (DimerCovering, covering_from_obj, covering_to_obj,
                        expected_impurity_count, impurities,
                        validate_covering)
-from .kirchhoff import (LaplacianSystem, build_system,
+from .kirchhoff import (LaplacianSystem, Solution, build_system,
                         coverings_with_impurity, impurity_probability,
-                        solve_p, total_coverings, tree_count)
+                        region_counts, solve_p, total_coverings,
+                        tree_count)
 from .lattice import (NormalGraph, Region, TemperleyTriple,
                       build_normal_graph, build_region, classify_vertex,
                       diagonal_edges, edge, ell_region, strip_region)

@@ -9,17 +9,25 @@ makes a uniform random choice over sites a symmetric proposal kernel.
 The move rule is written once, on mate maps: site_move reads the move
 a site supports in either state and swap applies it.  Every edge of a
 site is in G, so a move that site_move returns takes a covering to a
-covering.  The walks (t_class, move_graph_connected) therefore check
-their start once (check_covering) and trust each move after it;
-apply_move validates a move handed in from outside.
+covering, and reading the site again gives the move that undoes it.
+The walks therefore check their start once (check_covering) and trust
+each move after it; apply_move validates a move handed in from outside.
+
+t_classes and move_graph_connected walk a supplied covering set.  A
+covering's key is the OR of bits 1 << i over its dimers, i the index
+of the dimer in g.edges, so equal keys mean equal dimers, and a move
+changes the key by its site's four-edge mask.  One mate map, copied
+from the start, is moved and moved back through a depth-first search,
+and each key reached must be one of the supplied coverings'.  t_class
+has no set to key against and builds each member as a covering.
 """
 
 import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .covering import (DimerCovering, check_covering, impurities,
-                       validate_covering)
+from .covering import (DimerCovering, ForeignEdgeError, check_covering,
+                       impurities, validate_covering)
 from .lattice import InvalidInputError, Vertex, edge, reach
 
 
@@ -138,29 +146,25 @@ def swap(mate, a, b, c, d):
     mate[a], mate[d], mate[b], mate[c] = d, a, c, b
 
 
-def _moved_dimers(dimers, own_edges, a, b, c, d):
-    """The sorted dimers with {a,b},{c,d} replaced by g's own {b,c},{d,a}."""
-    out = list(dimers)
-    i, j = sorted((bisect_left(dimers, edge(a, b)),
-                   bisect_left(dimers, edge(c, d))))
-    del out[j]
-    del out[i]
-    insort(out, own_edges[edge(b, c)])
-    insort(out, own_edges[edge(d, a)])
-    return tuple(out)
-
-
 def _moved(m: DimerCovering, a, b, c, d) -> DimerCovering:
     """m after the move (a, b, c, d) that site_move read off m, unchecked.
 
     Trusted: the move's four edges are in G and {a,b},{c,d} are dimers
-    of m, so the result is a covering without validate_covering.
+    of m, so the result is a covering without validate_covering.  Its
+    dimers are m's sorted dimers with {a,b},{c,d} replaced by g's own
+    {b,c},{d,a}.
     """
     mate = dict(m._mate)
     swap(mate, a, b, c, d)
-    return DimerCovering(
-        m.graph, _moved_dimers(m.dimers, m.graph.own_edges, a, b, c, d),
-        mate)
+    dimers = list(m.dimers)
+    i, j = sorted((bisect_left(m.dimers, edge(a, b)),
+                   bisect_left(m.dimers, edge(c, d))))
+    del dimers[j]
+    del dimers[i]
+    own_edges = m.graph.own_edges
+    insort(dimers, own_edges[edge(b, c)])
+    insort(dimers, own_edges[edge(d, a)])
+    return DimerCovering(m.graph, tuple(dimers), mate)
 
 
 # graph -> {diagonal edge: the t-sites whose {a,b} or {b,c} it is}
@@ -184,6 +188,45 @@ def _t_site_index(g):
                 index.setdefault(edge(b, c), []).append(site)
         _T_INDEX[g] = index
     return index
+
+
+# graph -> (edge -> bit, (site, mask) per proposal site,
+#           the t-site index with each site's mask)
+_KEYED = weakref.WeakKeyDictionary()
+
+
+def _keyed_sites(g):
+    """The bit 1 << i of edge i of g.edges, and the sites with masks.
+
+    A site's mask is the XOR of its four edges' bits, so a move at the
+    site turns the key of a covering (the OR of its dimers' bits) into
+    the key of the covering it moves to.  Built once per graph object,
+    and only for the walks over a supplied set: the masks of a large
+    graph are large ints.
+    """
+    keyed = _KEYED.get(g)
+    if keyed is None:
+        bits = {e: 1 << i for i, e in enumerate(g.edges)}
+        masks = {}
+        for site in proposal_sites(g):
+            _, a, b, c, d = site
+            masks[site] = (bits[edge(a, b)] ^ bits[edge(b, c)]
+                           ^ bits[edge(c, d)] ^ bits[edge(d, a)])
+        t_index = {e: [(site, masks[site]) for site in sites]
+                   for e, sites in _t_site_index(g).items()}
+        keyed = _KEYED[g] = (bits, tuple(masks.items()), t_index)
+    return keyed
+
+
+def _key(bits, m: DimerCovering) -> int:
+    """The OR of the bits of m's dimers; equal keys mean equal dimers."""
+    key = 0
+    for e in m.dimers:
+        bit = bits.get(e)
+        if bit is None:
+            raise ForeignEdgeError(e)
+        key |= bit
+    return key
 
 
 def find_moves(m: DimerCovering):
@@ -225,6 +268,11 @@ def t_class(m: DimerCovering):
     (a, b, c, d) from site_move removes the impurity {a,b} and adds the
     impurity {b,c}, so each member's impurities are carried along the
     walk and its t-moves are read off the diagonal index.
+
+    Unlike t_classes, this walk has no supplied coverings to key, and
+    its callers want the members, so each one is a _moved snapshot:
+    rebuilding them from keys at the end costs about twice as much on
+    the 8x8 square's chain samples.
     """
     check_covering(m.graph, m)
     index = _t_site_index(m.graph)
@@ -254,22 +302,75 @@ class IncompleteCoveringSetError(InvalidInputError):
     closed under the moves those walks take."""
 
 
+def _walk(start: DimerCovering, key, pairs_of, supplied):
+    """The keys of the coverings that site moves reach from start.
+
+    start has been checked.  Its mate map is copied once and moved in
+    place by a depth-first search: a move that site_move reads is
+    applied with swap and its site's mask is XORed into the key, and it
+    is undone by the move site_move reads back at the same site.
+    pairs_of(held) gives the (site, mask) pairs to try at a covering
+    whose impurity set is held; a t-move's impurity change is carried
+    along.  A key outside supplied raises IncompleteCoveringSetError.
+    """
+    mate = dict(start._mate)
+    held = frozenset(impurities(start))
+    seen = {key}
+    stack = [(key, held, iter(pairs_of(held)), None)]
+    while stack:
+        key, held, pairs, came_by = stack[-1]
+        for site, mask in pairs:
+            mv = site_move(mate, site)
+            if mv is None:
+                continue
+            nxt = key ^ mask
+            if nxt in seen:
+                continue
+            if nxt not in supplied:
+                raise IncompleteCoveringSetError(
+                    "a move leaves the supplied covering set")
+            swap(mate, *mv)
+            seen.add(nxt)
+            if site[0] == "t":
+                a, b, c, _ = mv
+                held = held - {edge(a, b)} | {edge(b, c)}
+            stack.append((nxt, held, iter(pairs_of(held)), site))
+            break
+        else:
+            stack.pop()
+            if came_by is not None:
+                swap(mate, *site_move(mate, came_by))
+    return seen
+
+
 def t_classes(coverings):
     """Partition coverings into t-equivalence classes.
 
-    Classes come in the order of their least member's dimers.
+    Classes come in the order of their least member's dimers.  The
+    coverings are keyed by their dimers' edge bits in the graph of the
+    least one, and each class is walked by key from its least member,
+    which alone is checked and read through its mate map; the members
+    returned are the supplied coverings.
     """
-    remaining = set(coverings)
+    ordered = sorted(set(coverings), key=lambda c: c.dimers)
+    if not ordered:
+        return []
+    g = ordered[0].graph
+    bits, _, t_index = _keyed_sites(g)
+    by_key = {_key(bits, m): m for m in ordered}
+
+    def pairs_of(held):
+        return [pair for e in held for pair in t_index.get(e, ())]
+
     classes = []
-    for m in sorted(remaining, key=lambda c: c.dimers):
-        if m not in remaining:
+    claimed = set()
+    for key, m in by_key.items():
+        if key in claimed:
             continue
-        cls = t_class(m)
-        if not cls <= remaining:
-            raise IncompleteCoveringSetError(
-                "t-class escapes the supplied covering set")
-        remaining -= cls
-        classes.append(cls)
+        check_covering(g, m)
+        keys = _walk(m, key, pairs_of, by_key)
+        claimed |= keys
+        classes.append({by_key[k] for k in keys})
     return classes
 
 
@@ -277,31 +378,15 @@ def move_graph_connected(g, coverings) -> bool:
     """Whether s- and t-moves together connect coverings, all those of g.
 
     The walk starts from coverings[0], checked once, and moves only
-    among the supplied coverings, found by their dimers; each of them is
-    read through its own mate map.  A move that leaves them raises
-    IncompleteCoveringSetError.
+    among the supplied coverings, found by the edge-bit keys of their
+    dimers; no other covering's mate map is read.  A move that leaves
+    them raises IncompleteCoveringSetError.
     """
     if not coverings:
         return True
     start = coverings[0]
     check_covering(g, start)
-    by_dimers = {m.dimers: m for m in coverings}
-    by_dimers[start.dimers] = start
-    sites = proposal_sites(g)
-    own_edges = g.own_edges
-
-    def neighbors(dimers):
-        mate = by_dimers[dimers]._mate
-        out = []
-        for site in sites:
-            mv = site_move(mate, site)
-            if mv is None:
-                continue
-            nxt = _moved_dimers(dimers, own_edges, *mv)
-            if nxt not in by_dimers:
-                raise IncompleteCoveringSetError(
-                    "a move leaves the supplied covering set")
-            out.append(nxt)
-        return out
-
-    return len(reach([start.dimers], neighbors)) == len(coverings)
+    bits, pairs, _ = _keyed_sites(g)
+    supplied = {_key(bits, m) for m in coverings}
+    walked = _walk(start, _key(bits, start), lambda held: pairs, supplied)
+    return len(walked) == len(coverings)

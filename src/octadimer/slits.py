@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .covering import DimerCovering, impurities
 from .lattice import (Edge, Vertex, _edge_arg, diagonal_edges, edge,
-                      flanking_blacks, reach)
+                      flanking_blacks)
 
 
 class StructureError(RuntimeError):
@@ -174,7 +174,9 @@ def forests(m: DimerCovering) -> ForestPair:
 
     Each black b whose opposite white is in G gives the tree edge
     {mate(b), opposite white}: the path through b that the cut along
-    the slit-curves leaves.  A diagonal with no flanking black in G is
+    the slit-curves leaves.  One pass per component collects its whites
+    and its edges, and a component with more edges than a tree raises
+    CycleDetectedError.  A diagonal with no flanking black in G is
     crossed by no curve and raises ResidualDiagonalError.
     """
     g = m.graph
@@ -183,26 +185,40 @@ def forests(m: DimerCovering) -> ForestPair:
         raise ResidualDiagonalError(
             "diagonal edge %r is missed by every slit-curve" % (e,))
 
+    mate = m._mate
     adjacency = {w: [] for w in g.whites}
     for b in g.blacks:
-        w = m.mate(b)
+        w = mate[b]
         opposite = (2 * b[0] - w[0], 2 * b[1] - w[1])
-        if opposite in g.vertex_set:
-            adjacency[w].append(opposite)
-            adjacency[opposite].append(w)
+        if opposite in adjacency:
+            e = edge(w, opposite)
+            adjacency[w].append((opposite, e))
+            adjacency[opposite].append((w, e))
 
+    # one pass per component: its vertices, the edges that first reach
+    # them, and the sum of its degrees, which is twice its edge count
     primary, dual = [], []
     seen = set()
     for w in g.whites:
         if w in seen:
             continue
-        vs = frozenset(reach((w,), adjacency.__getitem__))
-        seen |= vs
-        es = frozenset(edge(u, v) for u in vs for v in adjacency[u])
-        if len(es) != len(vs) - 1:
+        seen.add(w)
+        vs = [w]
+        es = []
+        degrees = 0
+        for u in vs:            # vs grows as the component is found
+            nbrs = adjacency[u]
+            degrees += len(nbrs)
+            for v, e in nbrs:
+                if v not in seen:
+                    seen.add(v)
+                    vs.append(v)
+                    es.append(e)
+        if degrees != 2 * len(es):
             raise CycleDetectedError(
                 "the contracted forest has a cycle through %r" % (w,))
-        (primary if w[0] % 2 == 0 else dual).append(Tree(vs, es))
+        (primary if w[0] % 2 == 0 else dual).append(
+            Tree(frozenset(vs), frozenset(es)))
     return ForestPair(tuple(sorted(primary, key=Tree.sort_key)),
                       tuple(sorted(dual, key=Tree.sort_key)))
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import pytest
 
+import octadimer
 from octadimer import cli, kirchhoff
 from octadimer.kirchhoff import (LaplacianSystem, NotDiagonalError,
                                  NotInGError, SingularSystemError,
@@ -142,6 +143,12 @@ def test_solution_keeps_one_denominator(ell):
     assert p.det == 56
     assert p.counts == {(1, 1): 8, (1, 3): 16, (3, 1): 16, ell.f_star: 56}
     assert dict(p) == {v: Fraction(n, 56) for v, n in p.counts.items()}
+
+
+def test_solution_is_exported_from_the_package_root(ell):
+    p = octadimer.region_counts(ell)
+    assert isinstance(p, octadimer.Solution)
+    assert octadimer.region_counts is region_counts
 
 
 def test_ell_counts(ell):

@@ -27,7 +27,7 @@ from octadimer.sampler import ChainConfig, run
 from octadimer.temperley import class_bijection, initial_covering, phi
 
 from conftest import unit_square_graph
-from test_kirchhoff import square_region
+from test_kirchhoff import polyomino_region, square_region
 
 
 def reference_apply(m, mv):
@@ -166,8 +166,10 @@ def test_t_class_matches_reference(ell_coverings, strip_coverings):
 
 
 def test_t_classes_and_bijection_match_reference(ell, ell_coverings,
-                                                 strip_coverings):
-    cases = [(ell, ell_coverings)]
+                                                 strip1, strip_coverings):
+    tee = build_region(polyomino_region(4, 4))      # a T of four faces
+    cases = [(ell, ell_coverings), (strip1, enumerate_coverings(strip1.g)),
+             (tee, enumerate_coverings(tee.g))]
     cases += [(build_region(strip_region(n)), ms)
               for n, ms in zip((2, 3, 4), strip_coverings)]
     for tri, coverings in cases:
@@ -231,10 +233,35 @@ def test_walks_reject_a_mate_map_that_disagrees_with_the_dimers(
         t_class(wrong_mate(m))
     with pytest.raises(CoveringError):
         move_graph_connected(ell.g, [wrong_mate(m)] + ell_coverings)
+    first, *rest = sorted(ell_coverings, key=lambda c: c.dimers)
+    with pytest.raises(CoveringError):     # a class's least member
+        t_classes([wrong_mate(first)] + rest)
     with pytest.raises(CoveringError):     # the chain trusts its moves too
         run(wrong_mate(m), ChainConfig(seed=1, steps=2000))
     with pytest.raises(CoveringError):     # dimers that cover nothing
         t_class(DimerCovering(ell.g, m.dimers[1:], m.mate_map()))
+
+
+def test_keyed_walks_read_only_the_mate_maps_they_start_from(
+        ell, ell_coverings):
+    # the other coverings are found by their dimers' edge bits, so a
+    # mate map that disagrees with them is never read
+    start, *rest = ell_coverings
+    assert move_graph_connected(ell.g,
+                                [start] + [wrong_mate(m) for m in rest])
+    starts = {min(cls, key=lambda c: c.dimers)
+              for cls in t_classes(ell_coverings)}
+    mixed = [m if m in starts else wrong_mate(m) for m in ell_coverings]
+    assert t_classes(mixed) == t_classes(ell_coverings)
+
+
+def test_keyed_walks_reject_a_covering_of_another_region(
+        ell, ell_coverings, strip_coverings):
+    foreign = strip_coverings[-1][0]    # strip 4 reaches past ell's G
+    with pytest.raises(CoveringError):
+        move_graph_connected(ell.g, ell_coverings + [foreign])
+    with pytest.raises(CoveringError):
+        t_classes(ell_coverings + [foreign])
 
 
 def test_swap_twice_at_a_site_is_the_identity(ell_coverings):

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import pytest
 
 from octadimer import slits
-from octadimer.covering import impurities, validate_covering
+from octadimer.covering import (DimerCovering, impurities,
+                                validate_covering)
 from octadimer.lattice import (build_normal_graph, build_region, edge,
-                               is_unit_edge, strip_region)
+                               is_unit_edge, is_white, reach, strip_region)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
+from octadimer.sampler import ChainConfig, run
 from octadimer.slits import (CycleDetectedError, NoCurveError,
                              ResidualDiagonalError, SlitCrossingError,
                              SlitCurve, SlitLoopError, StructureError,
@@ -30,6 +32,7 @@ from octadimer.slits import (CycleDetectedError, NoCurveError,
 from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
+from test_kirchhoff import square_region
 
 CCW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -115,6 +118,25 @@ def crossed_unit_edges(m):
         px, py = arc.unit_point
         cx, cy = arc.center
         out.add(edge(arc.center, (px - cx, py - cy)))
+    return out
+
+
+def reference_forest_vertices(m):
+    """The white sets of the components of G's unit edges less those
+    crossed_unit_edges(m) names: the cut the forests are read from."""
+    g = m.graph
+    crossed = crossed_unit_edges(m)
+    adjacency = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        if is_unit_edge((u, v)) and (u, v) not in crossed:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    out = []
+    left = set(g.vertices)
+    while left:
+        comp = reach([min(left)], adjacency.__getitem__)
+        left -= comp
+        out.append(frozenset(filter(is_white, comp)))
     return out
 
 
@@ -307,6 +329,29 @@ def test_forest_partition(ell, ell_coverings):
         assert sum(len(v) for v in prim + dual) == len(whites)
 
 
+@pytest.fixture(scope="module")
+def square8_samples():
+    tri = build_region(square_region(8))
+    report = run(initial_covering(tri),
+                 ChainConfig(seed=16, steps=40000, sample_every=10000),
+                 keep_trajectory=True)
+    return [validate_covering(tri.g, dimers) for dimers in report.trajectory]
+
+
+def test_forests_match_the_cut(ell_coverings, square8_samples):
+    # each tree spans the whites of one component of the cut unit
+    # edges, and every component's whites make one tree
+    for m in [*ell_coverings, *square8_samples]:
+        fp = forests(m)
+        trees = fp.primary + fp.dual
+        assert sorted(sorted(t.vertices) for t in trees) == sorted(
+            sorted(ws) for ws in reference_forest_vertices(m))
+        for t in trees:
+            assert len(t.edges) == len(t.vertices) - 1
+            assert all(u in t.vertices and v in t.vertices
+                       for u, v in t.edges)
+
+
 def test_t_move_preserves_curves(ell, ell_coverings):
     for m in ell_coverings[::13]:
         curves = {c.points for c in slit_curves(m)}
@@ -337,6 +382,16 @@ def test_enclosed_tree_contains_f_star(ell, ell_coverings):
         assert ell.f_star in t.vertices
         w1 = e[0] if e[0][0] % 2 else e[1]
         assert w1 in t.vertices
+
+
+def test_cycle_detected_on_a_hand_built_mate_map():
+    # the four blacks around (1, 1) each matched to the white that turns
+    # their tree edges into a 4-cycle: no covering does this, but a
+    # hand-built mate map can
+    g = build_normal_graph([(x, y) for x in range(3) for y in range(3)])
+    mate = {(1, 0): (0, 0), (2, 1): (2, 0), (1, 2): (2, 2), (0, 1): (0, 2)}
+    with pytest.raises(CycleDetectedError):
+        forests(DimerCovering(g, (), mate))
 
 
 def test_cycle_detection_unreachable_on_valid_input(ell, ell_coverings):
