@@ -4,11 +4,14 @@ paths over a region ladder.
 Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
 and kirchhoff.total_coverings, slits.slit_curves and slits.forests on
 the region's initial_covering, sampler.run (seed 1, 20 000 steps, also
-given as steps per second) from it, and slits.slit_curves and
-moves.t_class on that run's final covering, on strips n = 1..8, the
-L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
+given as steps per second) from it, and slits.slit_curves,
+moves.t_class, slits.impurity_curve and render.render_covering with
+curves and forests on that run's final covering, on strips n = 1..8,
+the L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
 v* = (2k, 2)), each the median of five calls after one untimed call of
-the chain and t_class, so the per-graph site lists are built.  The
+the chain and t_class, so the per-graph site lists are built.  It also
+times slits.slit_curves cold: on the initial covering of a graph built
+just before each call, so the per-graph arc table starts empty.  The
 L-region row also times oracle.enumerate_coverings and, over its
 enumeration, moves.move_graph_connected, moves.t_classes,
 temperley.class_bijection and slits.forests of every covering.  It
@@ -19,9 +22,10 @@ rebuilt from the dual graph, not from the system under test; the
 forest pair splits G's whites into trees; the slit-curves of both
 coverings use every arc, one per (black, corner with both whites in G)
 pair counted from G alone, and each impurity's diagonal midpoint lies
-on exactly one of them; and the t-class has 4(|T*| - 1) + d* + 1
-members, T* being slits.enclosed_dual_tree of the final covering's
-impurity curve; and on the L-region the oracle enumerates
+on exactly one of them, the one slits.impurity_curve returns; and the
+t-class has 4(|T*| - 1) + d* + 1 members, T* being
+slits.enclosed_dual_tree of the final covering's impurity curve; and
+on the L-region the oracle enumerates
 total_coverings coverings, which s- and t-moves connect, which fall
 into |det A| t-classes that biject with |det A| trees, and whose
 forest pairs each split G's whites into trees.
@@ -57,6 +61,7 @@ from octadimer import (ChainConfig, Region, build_region, build_system,
                        move_graph_connected, run, slit_curves, solve_p,
                        strip_region, t_class, t_classes, total_coverings,
                        tree_count)
+from octadimer.render import render_covering
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
@@ -121,11 +126,26 @@ def arc_count(g):
 
 def curves_ok(m, curves):
     """The curves use every arc, and each impurity's diagonal midpoint
-    lies on exactly one of them."""
+    lies on exactly one of them, the curve impurity_curve returns."""
     if sum(len(c) - 1 for c in curves) != arc_count(m.graph):
         return False
-    mids = [(u[0] + v[0], u[1] + v[1]) for u, v in impurities(m)]
-    return all(sum(p in c.points for c in curves) == 1 for p in mids)
+    for e in impurities(m):
+        mid = (e[0][0] + e[1][0], e[0][1] + e[1][1])
+        if [c for c in curves if mid in c.points] != [impurity_curve(m, e)]:
+            return False
+    return True
+
+
+def cold_slit_curves(region, repeats):
+    """Median time of slit_curves on the initial covering of a graph
+    built just before the call, so no per-graph table is filled yet."""
+    times = []
+    for _ in range(repeats):
+        m = initial_covering(build_region(region))
+        start = time.perf_counter()
+        slit_curves(m)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def t_class_size_ok(tri, m, size):
@@ -149,6 +169,10 @@ def measure(name, region, repeats):
     t_final_curves, final_curves = median_time(lambda: slit_curves(final),
                                                repeats)
     t_t_class, cls = median_time(lambda: t_class(final), repeats)
+    e, = impurities(final)
+    t_imp_curve, _ = median_time(lambda: impurity_curve(final, e), repeats)
+    t_render, _ = median_time(lambda: render_covering(
+        final, show_slits=True, show_forests=True), repeats)
     record = {"name": name, "faces": len(region.faces),
               "det_bits": det.bit_length(), "det": str(det),
               "total": str(total), "residual_ok": residual_ok(tri),
@@ -163,7 +187,11 @@ def measure(name, region, repeats):
                           "slit_curves": t_curves, "forests": t_forests,
                           "chain_run": t_chain,
                           "slit_curves_final": t_final_curves,
-                          "t_class": t_t_class}}
+                          "t_class": t_t_class,
+                          "impurity_curve_final": t_imp_curve,
+                          "render_final": t_render,
+                          "slit_curves_cold": cold_slit_curves(region,
+                                                               repeats)}}
     if name == "ell":
         t_enum, ms = median_time(lambda: enumerate_coverings(tri.g), repeats)
         t_conn, connected = median_time(

@@ -380,7 +380,8 @@ def move_graph_connected(g, coverings) -> bool:
     The walk starts from coverings[0], checked once, and moves only
     among the supplied coverings, found by the edge-bit keys of their
     dimers; no other covering's mate map is read.  A move that leaves
-    them raises IncompleteCoveringSetError.
+    them raises IncompleteCoveringSetError.  A covering supplied twice
+    counts once.
     """
     if not coverings:
         return True
@@ -389,4 +390,4 @@ def move_graph_connected(g, coverings) -> bool:
     bits, pairs, _ = _keyed_sites(g)
     supplied = {_key(bits, m) for m in coverings}
     walked = _walk(start, _key(bits, start), lambda held: pairs, supplied)
-    return len(walked) == len(coverings)
+    return len(walked) == len(supplied)

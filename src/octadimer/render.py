@@ -9,6 +9,10 @@ the pictures are for.  Primary forest trees are solid, dual trees
 dashed, matching the usual figure convention.
 """
 
+import weakref
+from types import MappingProxyType
+from typing import NamedTuple
+
 from .covering import DimerCovering
 from .lattice import is_diagonal_edge
 from .slits import forests, slit_curves
@@ -26,14 +30,20 @@ DUAL_STYLE = ('stroke="#000000" stroke-width="4" stroke-linecap="round" '
               'stroke-dasharray="8,6"')
 
 
-class _Frame:
-    def __init__(self, vertices):
+class _Frame(NamedTuple):
+    x0: int
+    y1: int
+    width: int
+    height: int
+
+    @classmethod
+    def of(cls, vertices):
         xs = [2 * x for x, _ in vertices]
         ys = [2 * y for _, y in vertices]
-        self.x0 = min(xs) - PAD
-        self.y1 = max(ys) + PAD
-        self.width = (max(xs) + PAD - self.x0) * PX
-        self.height = (self.y1 - (min(ys) - PAD)) * PX
+        x0 = min(xs) - PAD
+        y1 = max(ys) + PAD
+        return cls(x0, y1, (max(xs) + PAD - x0) * PX,
+                   (y1 - (min(ys) - PAD)) * PX)
 
     def at(self, doubled):
         # SVG y axis points down.
@@ -43,46 +53,79 @@ class _Frame:
         return self.at((2 * v[0], 2 * v[1]))
 
 
-def _line(frame, u, v, style):
-    (x1, y1), (x2, y2) = frame.vertex(u), frame.vertex(v)
+def _line(px, u, v, style):
+    (x1, y1), (x2, y2) = px[u], px[v]
     return '<line x1="%d" y1="%d" x2="%d" y2="%d" %s/>' % (
         x1, y1, x2, y2, style)
 
 
+class _Static(NamedTuple):
+    frame: _Frame
+    head: str       # XML declaration and the svg start tag
+    edges: str      # one grey line per edge of G
+    vertices: str   # one circle per vertex of G
+    px: MappingProxyType  # vertex -> its pixel coordinates
+
+
+# graph -> its _Static layers
+_STATIC = weakref.WeakKeyDictionary()
+
+
+def _static(g):
+    """The parts of g's picture that no covering changes, made once per
+    graph object: each layer is already joined, so a render formats only
+    the dimers, forests and curves.  Every part is immutable, so no
+    render can change what the next one reads."""
+    static = _STATIC.get(g)
+    if static is None:
+        frame = _Frame.of(g.vertices)
+        px = MappingProxyType({v: frame.vertex(v) for v in g.vertices})
+        circles = []
+        for v in g.vertices:
+            x, y = px[v]
+            if (v[0] + v[1]) % 2:
+                circles.append(
+                    '<circle cx="%d" cy="%d" r="5" fill="#000000"/>' % (x, y))
+            else:
+                circles.append(
+                    '<circle cx="%d" cy="%d" r="6" fill="#ffffff" '
+                    'stroke="#000000" stroke-width="2"/>' % (x, y))
+        static = _STATIC[g] = _Static(
+            frame,
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'viewBox="0 0 %d %d">' % (frame.width, frame.height),
+            "\n".join(_line(px, u, v, EDGE_STYLE) for u, v in g.edges),
+            "\n".join(circles),
+            px)
+    return static
+
+
 def render_covering(m: DimerCovering, show_slits=False,
                     show_forests=False) -> str:
-    """An SVG 1.1 document for the covering, stable byte for byte."""
-    g = m.graph
-    frame = _Frame(g.vertices)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'viewBox="0 0 %d %d">' % (frame.width, frame.height),
-    ]
-    for e in g.edges:
-        parts.append(_line(frame, e[0], e[1], EDGE_STYLE))
+    """An SVG 1.1 document for the covering, stable byte for byte.
+
+    Grey edges first, then dimers, forests and curves, then the
+    vertices, so the covering's layers lie over the graph's edges and
+    under its vertices.
+    """
+    static = _static(m.graph)
+    frame, px = static.frame, static.px
+    parts = [static.head, static.edges]
     for e in m.dimers:
         style = IMPURITY_STYLE if is_diagonal_edge(e) else DIMER_STYLE
-        parts.append(_line(frame, e[0], e[1], style))
+        parts.append(_line(px, e[0], e[1], style))
     if show_forests:
         fp = forests(m)
         for trees, style in ((fp.primary, PRIMARY_STYLE),
                              (fp.dual, DUAL_STYLE)):
             for tree in trees:
                 for e in sorted(tree.edges):
-                    parts.append(_line(frame, e[0], e[1], style))
+                    parts.append(_line(px, e[0], e[1], style))
     if show_slits:
         for c in sorted(slit_curves(m), key=lambda c: c.points):
             pts = " ".join("%d,%d" % frame.at(p) for p in c.points)
             parts.append('<polyline points="%s" %s/>' % (pts, SLIT_STYLE))
-    for v in g.vertices:
-        x, y = frame.vertex(v)
-        if (v[0] + v[1]) % 2:
-            parts.append(
-                '<circle cx="%d" cy="%d" r="5" fill="#000000"/>' % (x, y))
-        else:
-            parts.append(
-                '<circle cx="%d" cy="%d" r="6" fill="#ffffff" '
-                'stroke="#000000" stroke-width="2"/>' % (x, y))
+    parts.append(static.vertices)
     parts.append('</svg>')
     return "\n".join(parts) + "\n"

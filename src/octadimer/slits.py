@@ -27,9 +27,9 @@ sublattice, the dual forest on the odd one.
 import weakref
 from dataclasses import dataclass
 
-from .covering import DimerCovering, impurities
+from .covering import DimerCovering
 from .lattice import (Edge, Vertex, _edge_arg, diagonal_edges, edge,
-                      flanking_blacks)
+                      flanking_blacks, is_diagonal_edge)
 
 
 class StructureError(RuntimeError):
@@ -93,24 +93,63 @@ class ForestPair:
     dual: tuple     # trees on W1
 
 
+# graph -> {(black, whether its dimer is horizontal): the black's
+# quarter arcs}, one entry filled per key on first use
+_ARCS = weakref.WeakKeyDictionary()
+
+
+def _black_arcs(vs, b, w):
+    """(center, diag_point, unit_point) of each quarter arc at black b
+    whose dimer sits at w; vs is the vertex set of b's graph."""
+    x, y = b
+    ring = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))  # CCW
+    present = tuple(map(vs.__contains__, ring))
+    j = ring.index(w)
+    arcs = []
+    for i in range(4):
+        k = (i + 1) % 4
+        if present[i] and present[k]:
+            wi, wk = ring[i], ring[k]
+            # the dimer at w_{i+1} or w_{i+3}: bend around w_i
+            center = wi if (j - i) % 2 else wk
+            arcs.append((center, (wi[0] + wk[0], wi[1] + wk[1]),
+                         (center[0] + x, center[1] + y)))
+    return tuple(arcs)
+
+
+def _arc_table(g):
+    """g's table of black arcs.
+
+    A black's arcs depend on g and on j mod 2 alone, j the ring index
+    of its mate: on whether its dimer is horizontal.  So they are
+    computed once per graph object, black and orientation, and only
+    when a covering first needs them, so a fresh graph's first call
+    computes no arcs it does not use.
+    """
+    table = _ARCS.get(g)
+    if table is None:
+        table = _ARCS[g] = {}
+    return table
+
+
+def _arcs_at(table, vs, b, w):
+    key = (b, w[1] == b[1])
+    arcs = table.get(key)
+    if arcs is None:
+        arcs = table[key] = _black_arcs(vs, b, w)
+    return arcs
+
+
 def _arc_ends(m: DimerCovering):
     """(center, diag_point, unit_point) of every quarter arc of m."""
     g = m.graph
     vs = g.vertex_set
-    mate = m.mate_view()
+    table = _arc_table(g)
+    mate = m._mate
+    ends = []
     for b in g.blacks:
-        x, y = b
-        ring = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))  # CCW
-        present = tuple(map(vs.__contains__, ring))
-        j = ring.index(mate[b])
-        for i in range(4):
-            k = (i + 1) % 4
-            if present[i] and present[k]:
-                wi, wk = ring[i], ring[k]
-                # the dimer at w_{i+1} or w_{i+3}: bend around w_i
-                center = wi if (j - i) % 2 else wk
-                yield (center, (wi[0] + wk[0], wi[1] + wk[1]),
-                       (center[0] + x, center[1] + y))
+        ends += _arcs_at(table, vs, b, mate[b])
+    return ends
 
 
 def slit_curves(m: DimerCovering):
@@ -223,16 +262,64 @@ def forests(m: DimerCovering) -> ForestPair:
                       tuple(sorted(dual, key=Tree.sort_key)))
 
 
+def _follow(arcs, p):
+    """One black's step along a curve entering it at diagonal point p:
+    the unit point its arc from p reaches, and the diagonal point its
+    other arc at that unit point reaches; None where there is none."""
+    q = nxt = None
+    for _, d, u in arcs:
+        if d == p:
+            q = u
+    for _, d, u in arcs:
+        if u == q and d != p:
+            nxt = d
+    return q, nxt
+
+
 def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
-    """The unique slit-curve passing through the impurity e of m."""
+    """The unique slit-curve passing through the impurity e of m.
+
+    Only that curve is traced, from e's midpoint both ways: a flanking
+    black in G takes the curve through its two arcs at one unit point
+    to its next diagonal, whose other flanking black b' = p - b (p the
+    diagonal's doubled midpoint) takes over, until that black is not in
+    G or a black has no second arc.
+    """
     e = _edge_arg(e)
-    if e not in impurities(m):
+    mate = m._mate
+    if not is_diagonal_edge(e) or mate.get(e[0]) != e[1]:
         raise NoCurveError("%r is not an impurity of the covering" % (e,))
-    target = _doubled_mid(*e)
-    for c in slit_curves(m):
-        if target in c.points:
-            return c
-    raise NoCurveError("no slit-curve meets the impurity %r" % (e,))
+    g = m.graph
+    vs = g.vertex_set
+    table = _arc_table(g)
+    start = _doubled_mid(*e)
+    seen = {start}
+    halves = []
+    for b in flanking_blacks(e):
+        p = start
+        half = []
+        while b in vs:
+            q, p = _follow(_arcs_at(table, vs, b, mate[b]), p)
+            if q is None:
+                break
+            half.append(q)
+            if p is None:
+                break
+            if p in seen:
+                raise SlitLoopError(
+                    "the slit-curve through %r closes on itself" % (e,))
+            seen.add(p)
+            half.append(p)
+            b = (p[0] - b[0], p[1] - b[1])
+        halves.append(half)
+    back, forth = halves
+    if not back and not forth:
+        raise NoCurveError("no slit-curve meets the impurity %r" % (e,))
+    back.reverse()
+    points = back + [start] + forth
+    if points[-1] < points[0]:
+        points.reverse()
+    return SlitCurve(tuple(points))
 
 
 def _diagonal_of(p):

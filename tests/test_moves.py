@@ -203,6 +203,8 @@ def test_t_class_of_initial(ell):
 def test_move_graph_connected(ell, ell_coverings, strip1, strip2):
     assert move_graph_connected(ell.g, ell_coverings)
     assert move_graph_connected(ell.g, ell_coverings[::-1])
+    # a covering supplied twice is one covering
+    assert move_graph_connected(ell.g, ell_coverings + [ell_coverings[5]])
     assert move_graph_connected(strip1.g, enumerate_coverings(strip1.g))
     assert move_graph_connected(strip2.g, enumerate_coverings(strip2.g))
 

@@ -1,12 +1,85 @@
 """Deterministic SVG output."""
 
+import gc
+import hashlib
 import xml.etree.ElementTree as ET
+from types import MappingProxyType
 
+import pytest
+
+from octadimer import render, slits
+from octadimer.lattice import build_region, ell_region
 from octadimer.render import render_covering
+from octadimer.sampler import ChainConfig, run
 from octadimer.slits import forests, slit_curves
 from octadimer.temperley import initial_covering
 
+from test_kirchhoff import square_region
+
 SVG = "{http://www.w3.org/2000/svg}"
+
+# sha256 of render_covering's bytes, plain and with show_slits and
+# show_forests, recorded before the graph's static layers were cached:
+# the initial coverings of the L-region and the 8x8 square, and the
+# final covering of a 20 000-step chain (seed 17) from the latter
+RENDER_SHA256 = {
+    "ell": (
+        "77946cc68cbea0cb9a1939f05d0daf07ef181b6f1c63ff966e41cee1f2c82597",
+        "d7043d8d55f1bcd52c51141645df585e31bbb3ae918ffd8a8939bfcecce14002"),
+    "square8": (
+        "b57acfbef6c7047a405bb02e5b7f0d84f10cec512a5951935945785644bcb463",
+        "70adc4b0f50f01accd081a62e14c518d70e34002b68a9904c12b821321c7f72c"),
+    "square8-seed17": (
+        "e7ea90160246eb455f934154b6bf89a333834b165843061d4962bf355846bdd0",
+        "e0762e5f416049cc033ec8f44e5ecfcb2f370e4219a543a5ad1e7256b6619a09"),
+}
+
+
+def _pinned_covering(name):
+    if name == "ell":
+        return initial_covering(build_region(ell_region()))
+    m = initial_covering(build_region(square_region(8)))
+    if name == "square8":
+        return m
+    return run(m, ChainConfig(seed=17, steps=20000)).final
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_SHA256))
+def test_pinned_bytes(name):
+    m = _pinned_covering(name)
+    got = tuple(hashlib.sha256(render_covering(m, **kw).encode()).hexdigest()
+                for kw in ({}, {"show_slits": True, "show_forests": True}))
+    assert got == RENDER_SHA256[name]
+
+
+def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
+    # what renders of one graph share is its static record, whose parts
+    # are strings, a named tuple of ints and a read-only mapping; a
+    # render of another covering in between leaves a covering's bytes
+    # as they were
+    kw = {"show_slits": True, "show_forests": True}
+    a, b = ell_coverings[0], ell_coverings[1]
+    first = render_covering(a, **kw)
+    static = render._STATIC[ell.g]
+    assert [type(part) for part in static] == [
+        render._Frame, str, str, str, MappingProxyType]
+    assert all(type(x) is int for x in static.frame)
+    with pytest.raises(TypeError):
+        static.px[ell.g.vertices[0]] = (0, 0)
+    assert render_covering(b, **kw) != first
+    assert render_covering(a, **kw) == first
+    assert render._STATIC[ell.g] is static
+
+
+def test_a_collected_graph_leaves_no_cache_entry():
+    before = (len(slits._ARCS), len(render._STATIC))
+    m = initial_covering(build_region(ell_region()))
+    render_covering(m, show_slits=True)
+    assert (len(slits._ARCS), len(render._STATIC)) == (before[0] + 1,
+                                                       before[1] + 1)
+    del m
+    gc.collect()
+    assert (len(slits._ARCS), len(render._STATIC)) == before
 
 
 def test_byte_deterministic(ell):

@@ -9,7 +9,8 @@ The diamond fixture freezes a full hand-checked configuration: every
 crossed edge, every curve, both forests, and the enclosed tree of each
 of the four impurity curves.  Arc objects and the arc-by-arc chainer
 below are the reference the point-map tracer of slits.slit_curves is
-compared against.
+compared against, and that tracer is the reference for the one-curve
+walk of slits.impurity_curve.
 """
 
 from dataclasses import dataclass
@@ -222,6 +223,29 @@ def test_slit_curves_match_reference(diamond, ell_coverings,
         assert slit_curves(m) == reference_slit_curves(m)
 
 
+def test_arc_table_matches_reference(diamond, ell_coverings,
+                                     strip_coverings):
+    # the per-graph table gives every covering its own arcs, in the
+    # reference's order, on the call that fills it and after
+    for m in [diamond, *ell_coverings, *strip_coverings]:
+        want = [(a.center, a.diag_point, a.unit_point) for a in arcs_of(m)]
+        assert list(slits._arc_ends(m)) == want
+        assert list(slits._arc_ends(m)) == want
+
+
+def test_impurity_curve_is_the_traced_curve_through_it(
+        diamond, ell_coverings, strip_coverings, square8_samples):
+    # the walk from the impurity's midpoint finds the one curve of the
+    # full tracer that passes through that midpoint
+    strip1 = enumerate_coverings(build_region(strip_region(1)).g)
+    for m in [*enumerate_coverings(diamond.graph), *ell_coverings,
+              *strip1, *strip_coverings, *square8_samples]:
+        curves = slit_curves(m)
+        for e in impurities(m):
+            (c,) = [c for c in curves if _doubled_mid(*e) in c.points]
+            assert impurity_curve(m, e) == c
+
+
 def _patch_arcs(monkeypatch, arcs):
     monkeypatch.setattr(slits, "_arc_ends", lambda m: iter(arcs))
 
@@ -238,6 +262,41 @@ def test_crossing_and_loop_sentinels(monkeypatch, diamond):
     _patch_arcs(monkeypatch, loop + [(c, (5, 5), (5, 6))])
     with pytest.raises(SlitLoopError, match="^4 arcs form closed loops$"):
         slit_curves(diamond)
+
+
+def test_impurity_walk_loop_sentinel(monkeypatch, diamond):
+    # no covering closes a curve; a fake arc rule that bends every arc
+    # at a black next to the white c around c closes the impurity's
+    # curve into a loop around c, and the walk must stop on it
+    c = (4, -2)
+    black_arcs = slits._black_arcs
+
+    def around_c(vs, b, w):
+        ring = [(b[0] + dx, b[1] + dy) for dx, dy in CCW]
+        if c not in ring:
+            return black_arcs(vs, b, w)
+        i = ring.index(c)
+        return tuple((c, _doubled_mid(c, ring[k]), _doubled_mid(c, b))
+                     for k in ((i - 1) % 4, (i + 1) % 4))
+
+    # the walk reads one black's arcs a step; a walk that missed the
+    # loop would fail here rather than run forever
+    arcs_at = slits._arcs_at
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        if len(steps) > 100:
+            raise AssertionError("the walk did not stop on the loop")
+        return arcs_at(*args)
+
+    monkeypatch.setattr(slits, "_black_arcs", around_c)
+    monkeypatch.setattr(slits, "_arcs_at", counted)
+    # a fresh graph, so its arc table is empty and filled by the fake
+    g = build_normal_graph(diamond.graph.vertices)
+    m = validate_covering(g, diamond.dimers)
+    with pytest.raises(SlitLoopError, match="closes on itself"):
+        impurity_curve(m, ((4, -2), (5, -1)))
 
 
 @pytest.mark.parametrize("source", ["diamond", "ell_coverings"])
