@@ -11,7 +11,11 @@ the L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
 v* = (2k, 2)), each the median of five calls after one untimed call of
 the chain and t_class, so the per-graph site lists are built.  It also
 times slits.slit_curves cold: on the initial covering of a graph built
-just before each call, so the per-graph arc table starts empty.  The
+just before each call, so the per-graph arc table starts empty.  On
+each square it times the whole `sample` command in process, stdout
+captured (seed 1, 20 000 steps, every 100th state, on a region file),
+which builds the region and draws the final covering's curves around
+the chain.  The
 L-region row also times oracle.enumerate_coverings and, over its
 enumeration, moves.move_graph_connected, moves.t_classes,
 temperley.class_bijection and slits.forests of every covering.  It
@@ -24,8 +28,10 @@ coverings use every arc, one per (black, corner with both whites in G)
 pair counted from G alone, and each impurity's diagonal midpoint lies
 on exactly one of them, the one slits.impurity_curve returns; and the
 t-class has 4(|T*| - 1) + d* + 1 members, T* being
-slits.enclosed_dual_tree of the final covering's impurity curve; and
-on the L-region the oracle enumerates
+slits.enclosed_dual_tree of the final covering's impurity curve; on
+each square `sample` exits 0, its final covering validates on G, it
+reports ceil(steps / every) samples and its impurity counts sum to
+that; and on the L-region the oracle enumerates
 total_coverings coverings, which s- and t-moves connect, which fall
 into |det A| t-classes that biject with |det A| trees, and whose
 forest pairs each split G's whites into trees.
@@ -43,7 +49,9 @@ exit status is 1 if any check fails.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -51,6 +59,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import octadimer
@@ -60,7 +69,9 @@ from octadimer import (ChainConfig, Region, build_region, build_system,
                        impurity_curve, initial_covering,
                        move_graph_connected, run, slit_curves, solve_p,
                        strip_region, t_class, t_classes, total_coverings,
-                       tree_count)
+                       tree_count, validate_covering)
+from octadimer.cli import main as cli_main
+from octadimer.covering import CoveringError
 from octadimer.render import render_covering
 
 STRIPS = range(1, 9)
@@ -68,6 +79,7 @@ SQUARES = (4, 8, 12, 16, 24)
 QUICK_SQUARES = (4, 8)
 REPEATS = 5
 CHAIN = ChainConfig(seed=1, steps=20000)
+SAMPLE_EVERY = 100
 
 
 def square_region(k):
@@ -148,6 +160,38 @@ def cold_slit_curves(region, repeats):
     return statistics.median(times)
 
 
+def sample_command(region, g, repeats):
+    """Median time of the `sample` command on region, stdout captured,
+    and whether its output holds: exit 0, a final covering of g, the
+    thinned sample count, and impurity counts summing to it."""
+    argv = ["sample", None, "--seed", str(CHAIN.seed),
+            "--steps", str(CHAIN.steps), "--every", str(SAMPLE_EVERY)]
+
+    def call():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(argv)
+        return code, out.getvalue()
+
+    with tempfile.TemporaryDirectory() as workdir:
+        argv[1] = os.path.join(workdir, "region.json")
+        with open(argv[1], "w") as f:
+            json.dump({"faces": [list(v) for v in region.faces],
+                       "f_star": list(region.f_star),
+                       "v_star": list(region.v_star)}, f)
+        t, (code, stdout) = median_time(call, repeats)
+    if code != 0:
+        return t, False
+    obj = json.loads(stdout)
+    try:
+        validate_covering(g, obj["final_covering"]["dimers"])
+    except CoveringError:
+        return t, False
+    want = -(-CHAIN.steps // SAMPLE_EVERY)
+    return t, (obj["n_samples"] == want
+               and sum(obj["impurity_counts"].values()) == want)
+
+
 def t_class_size_ok(tri, m, size):
     """|t-class of m| == 4(|T*| - 1) + d* + 1."""
     e, = impurities(m)
@@ -192,6 +236,10 @@ def measure(name, region, repeats):
                           "render_final": t_render,
                           "slit_curves_cold": cold_slit_curves(region,
                                                                repeats)}}
+    if name.startswith("square"):
+        t_sample, record["sample_ok"] = sample_command(region, tri.g,
+                                                       repeats)
+        record["seconds"]["sample"] = t_sample
     if name == "ell":
         t_enum, ms = median_time(lambda: enumerate_coverings(tri.g), repeats)
         t_conn, connected = median_time(
@@ -259,7 +307,8 @@ def main(argv=None):
     records = [measure(name, region, repeats) for name, region in regions]
     ok = strip_recurrence_ok(records) and all(
         r["residual_ok"] and r["forests_span"] and r["curves_ok"]
-        and r["t_class_ok"] and r.get("oracle_ok", True)
+        and r["t_class_ok"] and r.get("sample_ok", True)
+        and r.get("oracle_ok", True)
         and r.get("connected", True) and r.get("classes_ok", True)
         for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),

@@ -6,8 +6,9 @@ common diagonal neighbor b, it swaps {a,b}+{c,d} for {b,c}+{a,d}.
 Both kinds are involutions on a fixed four-vertex site, which is what
 makes a uniform random choice over sites a symmetric proposal kernel.
 
-The move rule is written once, on mate maps: site_move reads the move
-a site supports in either state and swap applies it.  Every edge of a
+The move rule is written once, on mates: site_move reads the move a
+site supports in either state and swap applies it, to a vertex -> vertex
+mate map and an index -> index mate list alike.  Every edge of a
 site is in G, so a move that site_move returns takes a covering to a
 covering, and reading the site again gives the move that undoes it.
 The walks therefore check their start once (check_covering) and trust
@@ -16,15 +17,20 @@ each move after it; apply_move validates a move handed in from outside.
 t_classes and move_graph_connected walk a supplied covering set.  A
 covering's key is the OR of bits 1 << i over its dimers, i the index
 of the dimer in g.edges, so equal keys mean equal dimers, and a move
-changes the key by its site's four-edge mask.  One mate map, copied
-from the start, is moved and moved back through a depth-first search,
-and each key reached must be one of the supplied coverings'.  t_class
-has no set to key against and builds each member as a covering.
+changes the key by its site's four-edge mask.  The walk runs over
+site_table(g), which numbers g's vertices in their sorted order and
+restates each proposal site over those indices: one mate list, read
+off the start, is moved and moved back through a depth-first search by
+the same site_move and swap, and each key reached must be one of the
+supplied coverings'.  sampler.run moves a mate list over the same
+table.  t_class has no set to key against and builds each member as a
+covering.
 """
 
 import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covering import (DimerCovering, ForeignEdgeError, check_covering,
                        impurities, validate_covering)
@@ -120,6 +126,48 @@ def proposal_sites(g):
     return sites
 
 
+class SiteTable(NamedTuple):
+    """g's vertices numbered in g.vertices order, and its sites over them.
+
+    vertices[i] is vertex i and index maps it back; sites is
+    proposal_sites(g) with each vertex replaced by its index, in the
+    same order.  g.vertices is sorted, so index order is coordinate
+    order and edge(i, j) of two indices is the canonical edge of their
+    vertices.  A mate list, mate[i] the index of vertex i's mate, is
+    what site_move and swap read and move over these sites.
+    """
+
+    vertices: tuple
+    index: dict
+    sites: tuple
+
+    def mate_list(self, m: DimerCovering) -> list:
+        """m's mate map as a mate list over these indices."""
+        index, mate = self.index, m._mate
+        return [index[mate[v]] for v in self.vertices]
+
+    def dimers(self, mate) -> tuple:
+        """The dimers of a mate list as vertex pairs, in sorted order."""
+        vs = self.vertices
+        return tuple([(vs[v], vs[w]) for v, w in enumerate(mate) if v < w])
+
+
+# graph -> its SiteTable
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def site_table(g) -> SiteTable:
+    """The SiteTable of g, built once per graph object."""
+    table = _TABLES.get(g)
+    if table is None:
+        vertices = g.vertices
+        index = {v: i for i, v in enumerate(vertices)}
+        sites = tuple((site[0],) + tuple(index[v] for v in site[1:])
+                      for site in proposal_sites(g))
+        table = _TABLES[g] = SiteTable(vertices, index, sites)
+    return table
+
+
 def site_move(mate, site):
     """The move site supports under mate, as (a, b, c, d), or None.
 
@@ -167,31 +215,38 @@ def _moved(m: DimerCovering, a, b, c, d) -> DimerCovering:
     return DimerCovering(m.graph, tuple(dimers), mate)
 
 
+def _by_diagonals(pairs):
+    """{diagonal: values} of (site, value) pairs at t-sites.
+
+    A t-site (a, b, c, d) supports a move only while one of its
+    diagonals {a,b} and {b,c} is a dimer, so its value is listed under
+    both, and a covering's t-moves are all at the sites listed under its
+    impurities.  Values keep the order of pairs.
+    """
+    index = {}
+    for (kind, a, b, c, _), value in pairs:
+        if kind == "t":
+            index.setdefault(edge(a, b), []).append(value)
+            index.setdefault(edge(b, c), []).append(value)
+    return index
+
+
 # graph -> {diagonal edge: the t-sites whose {a,b} or {b,c} it is}
 _T_INDEX = weakref.WeakKeyDictionary()
 
 
 def _t_site_index(g):
-    """The t-sites of g indexed by their two diagonal edges.
-
-    A t-site supports a move only while one of its diagonals is a dimer,
-    so a covering's t-moves are all at the sites indexed under its
-    impurities.  Built once per graph object from proposal_sites.
-    """
+    """The t-sites of g indexed by their two diagonal edges, built once
+    per graph object from proposal_sites."""
     index = _T_INDEX.get(g)
     if index is None:
-        index = {}
-        for site in proposal_sites(g):
-            if site[0] == "t":
-                _, a, b, c, _ = site
-                index.setdefault(edge(a, b), []).append(site)
-                index.setdefault(edge(b, c), []).append(site)
-        _T_INDEX[g] = index
+        sites = proposal_sites(g)
+        index = _T_INDEX[g] = _by_diagonals(zip(sites, sites))
     return index
 
 
-# graph -> (edge -> bit, (site, mask) per proposal site,
-#           the t-site index with each site's mask)
+# graph -> (edge -> bit, (site, mask) per indexed site,
+#           {index diagonal: the (site, mask) pairs of its t-sites})
 _KEYED = weakref.WeakKeyDictionary()
 
 
@@ -200,21 +255,21 @@ def _keyed_sites(g):
 
     A site's mask is the XOR of its four edges' bits, so a move at the
     site turns the key of a covering (the OR of its dimers' bits) into
-    the key of the covering it moves to.  Built once per graph object,
+    the key of the covering it moves to.  The sites are those of
+    site_table(g), over vertex indices, and the t-sites are also listed
+    under their diagonals as index edges.  Built once per graph object,
     and only for the walks over a supplied set: the masks of a large
     graph are large ints.
     """
     keyed = _KEYED.get(g)
     if keyed is None:
         bits = {e: 1 << i for i, e in enumerate(g.edges)}
-        masks = {}
-        for site in proposal_sites(g):
-            _, a, b, c, d = site
-            masks[site] = (bits[edge(a, b)] ^ bits[edge(b, c)]
-                           ^ bits[edge(c, d)] ^ bits[edge(d, a)])
-        t_index = {e: [(site, masks[site]) for site in sites]
-                   for e, sites in _t_site_index(g).items()}
-        keyed = _KEYED[g] = (bits, tuple(masks.items()), t_index)
+        pairs = tuple((site, bits[edge(a, b)] ^ bits[edge(b, c)]
+                       ^ bits[edge(c, d)] ^ bits[edge(d, a)])
+                      for (_, a, b, c, d), site
+                      in zip(proposal_sites(g), site_table(g).sites))
+        t_index = _by_diagonals((pair[0], pair) for pair in pairs)
+        keyed = _KEYED[g] = (bits, pairs, t_index)
     return keyed
 
 
@@ -305,16 +360,20 @@ class IncompleteCoveringSetError(InvalidInputError):
 def _walk(start: DimerCovering, key, pairs_of, supplied):
     """The keys of the coverings that site moves reach from start.
 
-    start has been checked.  Its mate map is copied once and moved in
-    place by a depth-first search: a move that site_move reads is
-    applied with swap and its site's mask is XORed into the key, and it
-    is undone by the move site_move reads back at the same site.
-    pairs_of(held) gives the (site, mask) pairs to try at a covering
-    whose impurity set is held; a t-move's impurity change is carried
-    along.  A key outside supplied raises IncompleteCoveringSetError.
+    start has been checked.  Its mate map is restated once as a mate
+    list over site_table(g) and moved in place by a depth-first search:
+    a move that site_move reads at an indexed site is applied with swap
+    and its site's mask is XORed into the key, and it is undone by the
+    move site_move reads back at the same site.  pairs_of(held) gives
+    the (site, mask) pairs to try at a covering whose impurity set, as
+    index edges, is held; a t-move's impurity change is carried along.
+    A key outside supplied raises IncompleteCoveringSetError.
     """
-    mate = dict(start._mate)
-    held = frozenset(impurities(start))
+    table = site_table(start.graph)
+    index = table.index
+    mate = table.mate_list(start)
+    # index order is coordinate order, so sorted pairs stay sorted
+    held = frozenset((index[a], index[b]) for a, b in impurities(start))
     seen = {key}
     stack = [(key, held, iter(pairs_of(held)), None)]
     while stack:

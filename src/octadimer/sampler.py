@@ -18,6 +18,12 @@ which is what `step` calls: for n < 2**32, `randrange(n)` takes the
 top k = n.bit_length() bits of one generator word and draws again
 while the value is >= n, and `getrandbits(32 * B)` is the next B
 words, the first one lowest.
+
+`run` moves a mate list over `moves.site_table`, which numbers the
+graph's vertices in sorted order and restates the proposal sites over
+those indices in the same order, so it draws the sites `step` draws and
+`site_move` reads them without hashing a coordinate.  Vertices come
+back through the table only where a move changes what is counted.
 """
 
 import random
@@ -29,7 +35,8 @@ from itertools import chain
 from .covering import (DimerCovering, check_covering, impurities,
                        validate_covering)
 from .lattice import InvalidInputError, edge
-from .moves import LocalMove, apply_move, proposal_sites, site_move, swap
+from .moves import (LocalMove, apply_move, proposal_sites, site_move,
+                    site_table, swap)
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 BLOCK_WORDS = 1024      # generator words per block of site draws
@@ -122,15 +129,21 @@ def run(m0: DimerCovering, cfg: ChainConfig,
     the last interval closes at cfg.steps.  What is counted changes on
     every t-move, and on every move when the trajectory is kept.
 
-    The impurities (diagonal dimers) are kept as a set through the run
-    rather than found again on each interval.  An s-move never touches
-    a diagonal dimer, and a t-move returned by site_move as (a, b, c, d)
-    always removes the diagonal {a,b} and adds the diagonal {b,c}, so
-    only accepted t-moves update the set.  m0 is checked once, up front.
+    The mate is a list over site_table(g), moved by site_move and swap
+    at the table's indexed sites.  The impurities (diagonal dimers) are
+    kept as a set of vertex edges through the run rather than found
+    again on each interval.  An s-move never touches a diagonal dimer,
+    and a t-move returned by site_move as (a, b, c, d) always removes
+    the diagonal {a,b} and adds the diagonal {b,c}, so only accepted
+    t-moves update the set, through the table's vertex tuple.  A kept
+    state is the table's sorted dimers of the list.  m0 is checked
+    once, up front, and the final covering is validated.
     """
     g = m0.graph
     check_covering(g, m0)
-    mate = m0.mate_map()
+    table = site_table(g)
+    vertices = table.vertices
+    mate = table.mate_list(m0)
     impurity_set = set(impurities(m0))
     burn_in, every = cfg.burn_in, cfg.sample_every
     accepted = 0
@@ -147,11 +160,10 @@ def run(m0: DimerCovering, cfg: ChainConfig,
         for e in impurity_set:
             impurity_counts[e] = impurity_counts.get(e, 0) + n
         if keep_trajectory:
-            key = tuple(sorted((v, w) for v, w in mate.items() if v < w))
-            trajectory.extend([key] * n)
+            trajectory.extend([table.dimers(mate)] * n)
 
     since = 0
-    draws = chain.from_iterable(_site_blocks(proposal_sites(g),
+    draws = chain.from_iterable(_site_blocks(table.sites,
                                              random.Random(cfg.seed)))
     for i, site in zip(range(cfg.steps), draws):
         mv = site_move(mate, site)
@@ -165,9 +177,9 @@ def run(m0: DimerCovering, cfg: ChainConfig,
         a, b, c, d = mv
         swap(mate, a, b, c, d)
         if t_move:
-            impurity_set.remove(edge(a, b))
-            impurity_set.add(edge(b, c))
+            impurity_set.remove(edge(vertices[a], vertices[b]))
+            impurity_set.add(edge(vertices[b], vertices[c]))
     credit(since, cfg.steps)
-    final = validate_covering(g, [(v, w) for v, w in mate.items() if v < w])
+    final = validate_covering(g, table.dimers(mate))
     return SampleReport(cfg, final, accepted, before(cfg.steps),
                         impurity_counts, trajectory)

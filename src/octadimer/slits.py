@@ -93,14 +93,16 @@ class ForestPair:
     dual: tuple     # trees on W1
 
 
-# graph -> {(black, whether its dimer is horizontal): the black's
-# quarter arcs}, one entry filled per key on first use
+# graph -> ({black: its arcs} for blacks whose dimer is vertical, the
+# same for horizontal dimers), one entry filled per black and
+# orientation on first use
 _ARCS = weakref.WeakKeyDictionary()
 
 
 def _black_arcs(vs, b, w):
-    """(center, diag_point, unit_point) of each quarter arc at black b
-    whose dimer sits at w; vs is the vertex set of b's graph."""
+    """The quarter arcs at black b whose dimer sits at w, as the flat
+    tuple (diag_point, unit_point, diag_point, unit_point, ...); vs is
+    the vertex set of b's graph."""
     x, y = b
     ring = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))  # CCW
     present = tuple(map(vs.__contains__, ring))
@@ -112,8 +114,8 @@ def _black_arcs(vs, b, w):
             wi, wk = ring[i], ring[k]
             # the dimer at w_{i+1} or w_{i+3}: bend around w_i
             center = wi if (j - i) % 2 else wk
-            arcs.append((center, (wi[0] + wk[0], wi[1] + wk[1]),
-                         (center[0] + x, center[1] + y)))
+            arcs += ((wi[0] + wk[0], wi[1] + wk[1]),
+                     (center[0] + x, center[1] + y))
     return tuple(arcs)
 
 
@@ -124,24 +126,26 @@ def _arc_table(g):
     of its mate: on whether its dimer is horizontal.  So they are
     computed once per graph object, black and orientation, and only
     when a covering first needs them, so a fresh graph's first call
-    computes no arcs it does not use.
+    computes no arcs it does not use.  An entry is one flat tuple keyed
+    by the graph's own black, since every object the table keeps adds
+    to the garbage collector's work on a fresh graph's first call.
     """
     table = _ARCS.get(g)
     if table is None:
-        table = _ARCS[g] = {}
+        table = _ARCS[g] = ({}, {})
     return table
 
 
 def _arcs_at(table, vs, b, w):
-    key = (b, w[1] == b[1])
-    arcs = table.get(key)
+    arcs_of = table[w[1] == b[1]]       # whether b's dimer is horizontal
+    arcs = arcs_of.get(b)
     if arcs is None:
-        arcs = table[key] = _black_arcs(vs, b, w)
+        arcs = arcs_of[b] = _black_arcs(vs, b, w)
     return arcs
 
 
 def _arc_ends(m: DimerCovering):
-    """(center, diag_point, unit_point) of every quarter arc of m."""
+    """(diag_point, unit_point) of every quarter arc of m."""
     g = m.graph
     vs = g.vertex_set
     table = _arc_table(g)
@@ -149,14 +153,15 @@ def _arc_ends(m: DimerCovering):
     ends = []
     for b in g.blacks:
         ends += _arcs_at(table, vs, b, mate[b])
-    return ends
+    points = iter(ends)
+    return zip(points, points)
 
 
 def slit_curves(m: DimerCovering):
     """The set of slit-curves of m, each in canonical direction."""
     nbrs = {}
     arcs = 0
-    for _, p, q in _arc_ends(m):
+    for p, q in _arc_ends(m):
         nbrs.setdefault(p, []).append(q)
         nbrs.setdefault(q, []).append(p)
         arcs += 1
@@ -265,15 +270,19 @@ def forests(m: DimerCovering) -> ForestPair:
 def _follow(arcs, p):
     """One black's step along a curve entering it at diagonal point p:
     the unit point its arc from p reaches, and the diagonal point its
-    other arc at that unit point reaches; None where there is none."""
-    q = nxt = None
-    for _, d, u in arcs:
-        if d == p:
-            q = u
-    for _, d, u in arcs:
-        if u == q and d != p:
-            nxt = d
-    return q, nxt
+    other arc at that unit point reaches; None where there is none.
+
+    A diagonal point is odd-odd and a unit point is not, so p can only
+    sit at an even position of the flat arcs."""
+    try:
+        i = arcs.index(p)
+    except ValueError:
+        return None, None
+    q = arcs[i + 1]
+    for j in range(1, len(arcs), 2):
+        if arcs[j] == q and j != i + 1:
+            return q, arcs[j - 1]
+    return q, None
 
 
 def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:

@@ -7,6 +7,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from octadimer import cli, kirchhoff, sampler
+from octadimer.covering import validate_covering
+from octadimer.lattice import Region, build_region
+from octadimer.render import render_covering
+from octadimer.temperley import initial_covering
+
+from test_sampler import reference_run
 
 ELL = {"faces": [[1, 1], [1, 3], [3, 1]], "f_star": [3, 3], "v_star": [2, 4]}
 STRIP1 = {"faces": [[1, 1]], "f_star": [3, 1], "v_star": [2, 2]}
@@ -139,14 +145,25 @@ def test_sample(capsys, strip_file):
 
 
 def test_sample_frames(capsys, tmp_path, strip_file):
+    # frame i is the render of state i of the per-step reference chain
     frames = tmp_path / "frames"
     rc, obj = run_cli(capsys, "sample", strip_file, "--seed", "1",
-                      "--steps", "40", "--every", "10",
+                      "--steps", "400", "--every", "40",
                       "--frames", str(frames))
     assert rc == 0
     files = sorted(f.name for f in frames.iterdir())
-    assert files == ["frame_%06d.svg" % i for i in range(4)]
+    assert files == ["frame_%06d.svg" % i for i in range(10)]
     ET.parse(frames / files[0])
+    tri = build_region(Region.of(STRIP1["faces"], STRIP1["f_star"],
+                                 STRIP1["v_star"]))
+    want = reference_run(initial_covering(tri),
+                         sampler.ChainConfig(seed=1, steps=400,
+                                             sample_every=40),
+                         keep_trajectory=True).trajectory
+    assert len(set(want)) > 1
+    for name, dimers in zip(files, want):
+        assert (frames / name).read_text() == render_covering(
+            validate_covering(tri.g, dimers))
 
 
 @pytest.mark.parametrize("argv, error", [

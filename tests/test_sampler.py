@@ -7,8 +7,9 @@ from itertools import chain, islice
 import pytest
 
 from octadimer.covering import impurities, validate_covering
-from octadimer.lattice import InvalidInputError, build_normal_graph, edge
-from octadimer.moves import site_move, t_sites, unit_squares
+from octadimer.lattice import (InvalidInputError, build_normal_graph,
+                               build_region, edge)
+from octadimer.moves import site_move, site_table, t_sites, unit_squares
 from octadimer.oracle import enumerate_coverings
 from octadimer.sampler import (BLOCK_WORDS, RNG_ALGORITHM, ChainConfig,
                                SampleReport, _site_blocks, proposal_sites,
@@ -16,6 +17,12 @@ from octadimer.sampler import (BLOCK_WORDS, RNG_ALGORITHM, ChainConfig,
 from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
+from test_kirchhoff import square_region
+
+
+@pytest.fixture(scope="module")
+def square8():
+    return build_region(square_region(8))
 
 
 def test_config_validation():
@@ -206,20 +213,58 @@ def _fields(rep):
             rep.rng_algorithm)
 
 
-@pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square"])
+def _reference_configs(name):
+    if name == "square8":
+        # long runs on a large square, where the impurity moves: the
+        # small regions see few t-moves
+        return [ChainConfig(seed=20000 + every, steps=20000,
+                            burn_in=burn_in, sample_every=every)
+                for burn_in in (0, 1000) for every in (1, 100)]
+    return [ChainConfig(seed=steps + every, steps=steps, burn_in=burn_in,
+                        sample_every=every)
+            for steps in (0, 1, 500) for burn_in in (0, 5, steps, steps + 3)
+            for every in (1, 3, 7, 100)]
+
+
+@pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square",
+                                  "square8"])
 @pytest.mark.parametrize("keep_trajectory", [False, True])
 def test_run_matches_reference(request, name, keep_trajectory):
     # counting per interval gives what sampling each step gives, in the
-    # same dict insertion order
+    # same dict insertion order, and the indexed mate list moves as the
+    # reference's mate map does
     m0 = _start(request, name)
-    for steps in (0, 1, 500):
-        for burn_in in (0, 5, steps, steps + 3):
-            for every in (1, 3, 7, 100):
-                cfg = ChainConfig(seed=steps + every, steps=steps,
-                                  burn_in=burn_in, sample_every=every)
-                got = run(m0, cfg, keep_trajectory)
-                want = reference_run(m0, cfg, keep_trajectory)
-                assert _fields(got) == _fields(want), cfg
+    for cfg in _reference_configs(name):
+        got = run(m0, cfg, keep_trajectory)
+        want = reference_run(m0, cfg, keep_trajectory)
+        assert _fields(got) == _fields(want), cfg
+        if name == "square8":
+            assert len(got.impurity_counts) > 1, cfg
+
+
+@pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square",
+                                  "square8"])
+def test_site_table_maps_back_onto_proposal_sites(request, name):
+    # run draws from the indexed sites and step from proposal_sites; the
+    # same draws pick the same site because the tables agree entry by
+    # entry, in order
+    m0 = _start(request, name)
+    g = m0.graph
+    table = site_table(g)
+    assert table is site_table(g)
+    assert table.vertices == g.vertices
+    assert table.index == {v: i for i, v in enumerate(g.vertices)}
+    assert [(kind,) + tuple(table.vertices[i] for i in site)
+            for kind, *site in table.sites] == list(proposal_sites(g))
+    # index order is coordinate order, so edge() of two indices is the
+    # canonical edge of their vertices
+    assert all(tuple(table.vertices[i] for i in edge(j, k))
+               == edge(table.vertices[j], table.vertices[k])
+               for _, *site in table.sites for j in site for k in site)
+    mate = table.mate_list(m0)
+    assert all(table.vertices[mate[table.index[v]]] == m0.mate(v)
+               for v in g.vertices)
+    assert table.dimers(mate) == m0.dimers
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,

@@ -207,8 +207,7 @@ def test_arcs_count(diamond):
     assert len({(a.diag_point, a.unit_point) for a in arcs}) == len(arcs)
     ends = list(slits._arc_ends(diamond))
     assert len(ends) == len(arcs)
-    assert set(ends) == {(a.center, a.diag_point, a.unit_point)
-                         for a in arcs}
+    assert set(ends) == {(a.diag_point, a.unit_point) for a in arcs}
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +227,7 @@ def test_arc_table_matches_reference(diamond, ell_coverings,
     # the per-graph table gives every covering its own arcs, in the
     # reference's order, on the call that fills it and after
     for m in [diamond, *ell_coverings, *strip_coverings]:
-        want = [(a.center, a.diag_point, a.unit_point) for a in arcs_of(m)]
+        want = [(a.diag_point, a.unit_point) for a in arcs_of(m)]
         assert list(slits._arc_ends(m)) == want
         assert list(slits._arc_ends(m)) == want
 
@@ -252,14 +251,13 @@ def _patch_arcs(monkeypatch, arcs):
 
 def test_crossing_and_loop_sentinels(monkeypatch, diamond):
     # no covering reaches either error; a fake arc generator must
-    c = (0, 0)
-    _patch_arcs(monkeypatch, [(c, (1, 1), (2, 1)), (c, (3, 1), (2, 1)),
-                              (c, (3, 3), (2, 1))])
+    _patch_arcs(monkeypatch, [((1, 1), (2, 1)), ((3, 1), (2, 1)),
+                              ((3, 3), (2, 1))])
     with pytest.raises(SlitCrossingError, match="degree 3"):
         slit_curves(diamond)
-    loop = [(c, (1, 1), (1, 2)), (c, (3, 3), (1, 2)),
-            (c, (3, 3), (2, 1)), (c, (1, 1), (2, 1))]
-    _patch_arcs(monkeypatch, loop + [(c, (5, 5), (5, 6))])
+    loop = [((1, 1), (1, 2)), ((3, 3), (1, 2)),
+            ((3, 3), (2, 1)), ((1, 1), (2, 1))]
+    _patch_arcs(monkeypatch, loop + [((5, 5), (5, 6))])
     with pytest.raises(SlitLoopError, match="^4 arcs form closed loops$"):
         slit_curves(diamond)
 
@@ -276,8 +274,8 @@ def test_impurity_walk_loop_sentinel(monkeypatch, diamond):
         if c not in ring:
             return black_arcs(vs, b, w)
         i = ring.index(c)
-        return tuple((c, _doubled_mid(c, ring[k]), _doubled_mid(c, b))
-                     for k in ((i - 1) % 4, (i + 1) % 4))
+        return [p for k in ((i - 1) % 4, (i + 1) % 4)
+                for p in (_doubled_mid(c, ring[k]), _doubled_mid(c, b))]
 
     # the walk reads one black's arcs a step; a walk that missed the
     # loop would fail here rather than run forever
