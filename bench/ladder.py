@@ -12,29 +12,32 @@ v* = (2k, 2)), each the median of five calls after one untimed call of
 the chain and t_class, so the per-graph site lists are built.  It also
 times slits.slit_curves cold: on the initial covering of a graph built
 just before each call, so the per-graph arc table starts empty.  On
-each square it times the whole `sample` command in process, stdout
-captured (seed 1, 20 000 steps, every 100th state, on a region file),
-which builds the region and draws the final covering's curves around
-the chain.  The
-L-region row also times oracle.enumerate_coverings and, over its
-enumeration, moves.move_graph_connected, moves.t_classes,
-temperley.class_bijection and slits.forests of every covering.  It
-checks every region's answers: the strip determinants follow
-a_n = 4 a_{n-1} - a_{n-2} from a_0 = 1, a_{-1} = 0; on every region the
-counts N = |det A| p from solve_p satisfy A N = |det A| b, with A and b
-rebuilt from the dual graph, not from the system under test; the
-forest pair splits G's whites into trees; the slit-curves of both
-coverings use every arc, one per (black, corner with both whites in G)
-pair counted from G alone, and each impurity's diagonal midpoint lies
-on exactly one of them, the one slits.impurity_curve returns; and the
-t-class has 4(|T*| - 1) + d* + 1 members, T* being
-slits.enclosed_dual_tree of the final covering's impurity curve; on
-each square `sample` exits 0, its final covering validates on G, it
-reports ceil(steps / every) samples and its impurity counts sum to
-that; and on the L-region the oracle enumerates
-total_coverings coverings, which s- and t-moves connect, which fall
-into |det A| t-classes that biject with |det A| trees, and whose
-forest pairs each split G's whites into trees.
+every region it times the whole `prob` command in process, stdout
+captured, on a region file, and on each square the whole `sample`
+command (seed 1, 20 000 steps, every 100th state), which builds the
+region and draws the final covering's curves around the chain; the
+first command of the run also builds the CLI's parser.  After the
+ladder it times one `selftest` command.  The L-region row also times
+oracle.enumerate_coverings and, over its enumeration,
+moves.move_graph_connected, moves.t_classes, temperley.class_bijection
+and slits.forests of every covering.  It checks every region's
+answers: the strip determinants follow a_n = 4 a_{n-1} - a_{n-2} from
+a_0 = 1, a_{-1} = 0; on every region the counts N = |det A| p from
+solve_p satisfy A N = |det A| b, with A and b rebuilt from the dual
+graph, not from the system under test; the forest pair splits G's
+whites into trees; the slit-curves of both coverings use every arc,
+one per (black, corner with both whites in G) pair counted from G
+alone, and each impurity's diagonal midpoint lies on exactly one of
+them, the one slits.impurity_curve returns; the t-class has
+4(|T*| - 1) + d* + 1 members, T* being slits.enclosed_dual_tree of the
+final covering's impurity curve; and `prob` exits 0 with det_A =
+tree_count and total = total_coverings.  On each square `sample` exits
+0, its final covering validates on G, it reports ceil(steps / every)
+samples and its impurity counts sum to that.  On the L-region the
+oracle enumerates total_coverings coverings, which s- and t-moves
+connect, which fall into |det A| t-classes that biject with |det A|
+trees, and whose forest pairs each split G's whites into trees.
+`selftest` exits 0.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -43,7 +46,8 @@ Stdlib only; it imports octadimer from the path, so
 times the checkout it is run in, and PYTHONPATH=<other checkout>/src
 times another.  One JSON object goes to stdout: provenance (Python,
 nproc, the library's git commit and whether its tree is dirty, a hash
-of its sources and a hash of the ladder) and one record per region.
+of its sources and a hash of the ladder), the selftest record and one
+record per region.
 --quick runs strips 1..8, the L-region and squares 4 and 8 once.  The
 exit status is 1 if any check fails.
 """
@@ -160,26 +164,35 @@ def cold_slit_curves(region, repeats):
     return statistics.median(times)
 
 
-def sample_command(region, g, repeats):
-    """Median time of the `sample` command on region, stdout captured,
+def cli_call(argv):
+    """`octadimer argv` in process, stdout captured: exit code, stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def prob_command(path, det, total, repeats):
+    """Median time of the `prob` command on the region file at path, and
+    whether it exits 0 with det_A and total equal to det and total."""
+    t, (code, stdout) = median_time(lambda: cli_call(["prob", path]),
+                                    repeats)
+    if code != 0:
+        return t, False
+    obj = json.loads(stdout)
+    return t, obj["det_A"] == str(det) and obj["total"] == str(total)
+
+
+def sample_command(path, g, repeats):
+    """Median time of the `sample` command on the region file at path,
     and whether its output holds: exit 0, a final covering of g, the
     thinned sample count, and impurity counts summing to it."""
-    argv = ["sample", None, "--seed", str(CHAIN.seed),
+    argv = ["sample", path, "--seed", str(CHAIN.seed),
             "--steps", str(CHAIN.steps), "--every", str(SAMPLE_EVERY)]
-
-    def call():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main(argv)
-        return code, out.getvalue()
-
-    with tempfile.TemporaryDirectory() as workdir:
-        argv[1] = os.path.join(workdir, "region.json")
-        with open(argv[1], "w") as f:
-            json.dump({"faces": [list(v) for v in region.faces],
-                       "f_star": list(region.f_star),
-                       "v_star": list(region.v_star)}, f)
-        t, (code, stdout) = median_time(call, repeats)
+    t, (code, stdout) = median_time(lambda: cli_call(argv), repeats)
     if code != 0:
         return t, False
     obj = json.loads(stdout)
@@ -199,7 +212,7 @@ def t_class_size_ok(tri, m, size):
     return size == 4 * (len(tree.vertices) - 1) + tri.h_perp.d_star + 1
 
 
-def measure(name, region, repeats):
+def measure(name, region, repeats, workdir):
     t_region, tri = median_time(lambda: build_region(region), repeats)
     t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
     t_det, det = median_time(lambda: tree_count(system), repeats)
@@ -236,9 +249,15 @@ def measure(name, region, repeats):
                           "render_final": t_render,
                           "slit_curves_cold": cold_slit_curves(region,
                                                                repeats)}}
+    path = os.path.join(workdir, name + ".json")
+    with open(path, "w") as f:
+        json.dump({"faces": [list(v) for v in region.faces],
+                   "f_star": list(region.f_star),
+                   "v_star": list(region.v_star)}, f)
+    record["seconds"]["prob"], record["prob_ok"] = prob_command(
+        path, det, total, repeats)
     if name.startswith("square"):
-        t_sample, record["sample_ok"] = sample_command(region, tri.g,
-                                                       repeats)
+        t_sample, record["sample_ok"] = sample_command(path, tri.g, repeats)
         record["seconds"]["sample"] = t_sample
     if name == "ell":
         t_enum, ms = median_time(lambda: enumerate_coverings(tri.g), repeats)
@@ -304,15 +323,20 @@ def main(argv=None):
     args = parser.parse_args(argv)
     repeats = 1 if args.quick else REPEATS
     regions = ladder(args.quick)
-    records = [measure(name, region, repeats) for name, region in regions]
-    ok = strip_recurrence_ok(records) and all(
+    with tempfile.TemporaryDirectory() as workdir:
+        records = [measure(name, region, repeats, workdir)
+                   for name, region in regions]
+    t_selftest, (code, _) = median_time(lambda: cli_call(["selftest"]), 1)
+    selftest = {"seconds": t_selftest, "ok": code == 0}
+    ok = selftest["ok"] and strip_recurrence_ok(records) and all(
         r["residual_ok"] and r["forests_span"] and r["curves_ok"]
-        and r["t_class_ok"] and r.get("sample_ok", True)
+        and r["t_class_ok"] and r["prob_ok"] and r.get("sample_ok", True)
         and r.get("oracle_ok", True)
         and r.get("connected", True) and r.get("classes_ok", True)
         for r in records)
     print(json.dumps({"provenance": provenance(regions, repeats),
-                      "correct": ok, "regions": records}, indent=1))
+                      "correct": ok, "selftest": selftest,
+                      "regions": records}, indent=1))
     return 0 if ok else 1
 
 

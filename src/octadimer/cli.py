@@ -11,6 +11,7 @@ command raises becomes exit 2 in main, at one place.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,8 +26,7 @@ from .lattice import (InvalidInputError, Region, build_region,
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(code, kind, message):
@@ -231,7 +231,13 @@ class _Parser(argparse.ArgumentParser):
         _fail(2, "UsageError", message)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first call and reused.
+
+    Parsing reads the parser and writes only the namespace it returns,
+    so one parser serves every call of main in a process.
+    """
     parser = _Parser(
         prog="octadimer",
         description="Dimer coverings with diagonal impurities: exact "
@@ -284,8 +290,11 @@ def main(argv=None):
     p = sub.add_parser("selftest",
                        help="re-derive the worked-example numbers")
     p.set_defaults(func=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except InvalidInputError as exc:

@@ -134,12 +134,14 @@ class SiteTable(NamedTuple):
     same order.  g.vertices is sorted, so index order is coordinate
     order and edge(i, j) of two indices is the canonical edge of their
     vertices.  A mate list, mate[i] the index of vertex i's mate, is
-    what site_move and swap read and move over these sites.
+    what site_move and swap read and move over these sites.  own_edges
+    is g.own_edges, so dimers read off a mate list are g's own tuples.
     """
 
     vertices: tuple
     index: dict
     sites: tuple
+    own_edges: dict
 
     def mate_list(self, m: DimerCovering) -> list:
         """m's mate map as a mate list over these indices."""
@@ -147,9 +149,9 @@ class SiteTable(NamedTuple):
         return [index[mate[v]] for v in self.vertices]
 
     def dimers(self, mate) -> tuple:
-        """The dimers of a mate list as vertex pairs, in sorted order."""
-        vs = self.vertices
-        return tuple([(vs[v], vs[w]) for v, w in enumerate(mate) if v < w])
+        """The dimers of a mate list as g's own edges, in sorted order."""
+        vs, own = self.vertices, self.own_edges
+        return tuple([own[vs[v], vs[w]] for v, w in enumerate(mate) if v < w])
 
 
 # graph -> its SiteTable
@@ -164,7 +166,7 @@ def site_table(g) -> SiteTable:
         index = {v: i for i, v in enumerate(vertices)}
         sites = tuple((site[0],) + tuple(index[v] for v in site[1:])
                       for site in proposal_sites(g))
-        table = _TABLES[g] = SiteTable(vertices, index, sites)
+        table = _TABLES[g] = SiteTable(vertices, index, sites, g.own_edges)
     return table
 
 

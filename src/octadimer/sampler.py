@@ -136,8 +136,9 @@ def run(m0: DimerCovering, cfg: ChainConfig,
     and a t-move returned by site_move as (a, b, c, d) always removes
     the diagonal {a,b} and adds the diagonal {b,c}, so only accepted
     t-moves update the set, through the table's vertex tuple.  A kept
-    state is the table's sorted dimers of the list.  m0 is checked
-    once, up front, and the final covering is validated.
+    state is the table's sorted dimers of the list, g's own edge
+    tuples, so kept states share them.  m0 is checked once, up front,
+    and the final covering is validated.
     """
     g = m0.graph
     check_covering(g, m0)

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from octadimer import cli, kirchhoff, sampler
+from octadimer import cli, kirchhoff, oracle, sampler
 from octadimer.covering import validate_covering
 from octadimer.lattice import Region, build_region
 from octadimer.render import render_covering
@@ -51,6 +54,82 @@ def run_cli_fail(capsys, *argv):
         cli.main(list(argv))
     out = capsys.readouterr().out
     return exc.value.code, json.loads(out)
+
+
+def console(*argv):
+    """`python -m octadimer.cli argv` in a fresh process: code, stdout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "octadimer.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout
+
+
+def in_process(capsys, *argv):
+    """cli.main(argv) as the console runs it: exit code, stdout."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_parser():
+    # the next main call builds the parser again, and so does the one
+    # after this test
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_one_parser_answers_a_sequence_of_calls(capsys, tmp_path, ell_file,
+                                                fresh_parser):
+    # a usage error leaves the parser as it found it: each later call
+    # gives the bytes of a fresh process or its pinned digest
+    strip2 = tmp_path / "strip2.json"
+    strip2.write_text(json.dumps(STRIP2))
+    bad = ("sample", ell_file, "--seed", "1", "--steps", "5", "--bogus")
+    got_bad = in_process(capsys, *bad)
+    got_prob = in_process(capsys, "prob", ell_file)
+    got_sample = in_process(capsys, "sample", str(strip2), *SAMPLE_ARGS)
+    assert got_bad[0] == 2 and json.loads(got_bad[1])["error"] == "UsageError"
+    assert got_bad == console(*bad)
+    assert got_prob == console("prob", ell_file)
+    assert got_sample[0] == 0
+    assert hashlib.sha256(got_sample[1].encode()).hexdigest() == (
+        "5630020463223658d77c3c57accd32698879b039c548144375aa5629bf7a863e")
+
+
+def test_parser_is_built_once(capsys, monkeypatch, strip_file, fresh_parser):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    in_process(capsys, "prob", strip_file)
+    first = list(built)
+    for argv in (["build", strip_file], ["prob"], ["prob", strip_file]):
+        in_process(capsys, *argv)
+    # the root parser and one per subcommand, all on the first call
+    assert first[0] == "octadimer" and len(first) == 8
+    assert built == first
+
+
+def test_enumerate_limit_default_is_the_oracle_guard():
+    args = cli._parser().parse_args(["enumerate", "region.json"])
+    assert args.limit == oracle.MATCHING_VERTEX_LIMIT
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out = in_process(capsys, "--help")
+    assert code == 0
+    for command in ("build", "enumerate", "prob", "moves", "sample",
+                    "render", "selftest"):
+        assert command in out
 
 
 def test_build(capsys, ell_file):

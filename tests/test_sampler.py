@@ -116,6 +116,15 @@ def test_trajectory_is_valid(strip1):
         assert len(impurities(m)) == k
 
 
+def test_kept_states_share_the_graph_edges(ell):
+    # a kept state holds g's own edge tuples, not a fresh pair per dimer
+    rep = run(initial_covering(ell), ChainConfig(seed=5, steps=500),
+              keep_trajectory=True)
+    own = ell.g.own_edges
+    assert len(set(rep.trajectory)) > 1
+    assert all(d is own[d] for dimers in rep.trajectory for d in dimers)
+
+
 def test_two_state_chain_alternates():
     # the unit square has one proposal site, always applicable, so the
     # chain flips deterministically; every=2 would alias to one state
