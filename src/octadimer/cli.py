@@ -4,7 +4,10 @@ Subcommands: build, enumerate, prob, moves, sample, render, selftest.
 Regions travel as {"faces": [[x,y],...], "f_star": [x,y],
 "v_star": [x,y]}, coverings as {"dimers": [[[x1,y1],[x2,y2]], ...]}.
 Every output is JSON with sorted keys (byte-deterministic) except
-render, which emits SVG.  Exit codes: 0 success, 2 a bad command
+render, which emits SVG.  _emit writes it: the bytes are those of
+json.dumps(obj, indent=2, sort_keys=True), whose indented form runs in
+pure Python, produced by _json_text with one join per container and
+the C string encoder.  Exit codes: 0 success, 2 a bad command
 line, a validation failure or an output path that cannot be written, 3
 enumeration infeasible, 1 selftest failure.  Every InvalidInputError a
 command raises becomes exit 2 in main, at one place.
@@ -17,6 +20,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import kirchhoff, moves, oracle, render, sampler, slits, temperley
 from .covering import (covering_from_obj, covering_to_obj,
@@ -25,8 +29,36 @@ from .lattice import (InvalidInputError, Region, build_region,
                       diagonal_edges, edge, strip_region, ell_region)
 
 
+def _json_text(obj, indent=""):
+    """json.dumps(obj, indent=2, sort_keys=True), written at indent.
+
+    Strings, lists, tuples, dicts and plain ints are written here; any
+    other leaf (a bool, None or a float) is json.dumps of the leaf.
+    Dict keys must be strings: the string encoder raises TypeError on
+    any other.
+    """
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(
+            [_json_text(x, inner) for x in obj]), indent)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(obj.items())]), indent)
+    return json.dumps(obj)
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(obj) + "\n")
 
 
 def _fail(code, kind, message):
@@ -115,7 +147,7 @@ def cmd_prob(args):
         })
     _emit({
         "det_A": str(p.det),
-        "p": {json.dumps(v): str(p[v]) for v in p},
+        "p": {"[%d, %d]" % v: str(p[v]) for v in p},
         "total": str(p.total),
         "d_star": tri.h_perp.d_star,
         "edge_probabilities": edges,
@@ -162,12 +194,17 @@ def cmd_sample(args):
         "rng_algorithm": report.rng_algorithm,
         "acceptance_rate": report.acceptance_rate,
         "n_samples": report.n_samples,
-        "impurity_counts": {json.dumps(e): c for e, c
+        "impurity_counts": {_edge_key(e): c for e, c
                             in report.impurity_counts.items()},
-        "impurity_frequencies": {json.dumps(e): f for e, f
+        "impurity_frequencies": {_edge_key(e): f for e, f
                                  in report.impurity_frequencies().items()},
         "final_covering": final_obj,
     })
+
+
+def _edge_key(e):
+    """json.dumps(e) of an edge of plain-int points."""
+    return "[[%d, %d], [%d, %d]]" % (e[0] + e[1])
 
 
 def cmd_render(args):

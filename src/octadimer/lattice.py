@@ -74,27 +74,6 @@ def classify_vertex(v: Vertex) -> str:
     return W0 if x % 2 == 0 else W1
 
 
-def is_white(v: Vertex) -> bool:
-    return (v[0] + v[1]) % 2 == 0
-
-
-def is_black(v: Vertex) -> bool:
-    return (v[0] + v[1]) % 2 == 1
-
-
-UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-DIAGONAL_STEPS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-
-
-def gamma_neighbors(v: Vertex) -> set[Vertex]:
-    """Neighbors of v in Gamma: 4 for a black vertex, 8 for a white one."""
-    x, y = v
-    out = {(x + dx, y + dy) for dx, dy in UNIT_STEPS}
-    if is_white(v):
-        out |= {(x + dx, y + dy) for dx, dy in DIAGONAL_STEPS}
-    return out
-
-
 def edge(u: Vertex, v: Vertex) -> Edge:
     """Canonical (sorted) form of the edge {u, v}."""
     return (u, v) if u <= v else (v, u)
@@ -105,16 +84,13 @@ def is_diagonal_edge(e: Edge) -> bool:
     return abs(x1 - x2) == 1 and abs(y1 - y2) == 1
 
 
-def is_unit_edge(e: Edge) -> bool:
-    (x1, y1), (x2, y2) = e
-    return abs(x1 - x2) + abs(y1 - y2) == 1
-
-
 class NormalGraph:
     """A finite subgraph of Gamma with deterministic iteration order.
 
     Vertices and edges are kept as sorted tuples so that iteration
-    order is deterministic everywhere downstream.  build_normal_graph
+    order is deterministic everywhere downstream; an edge given as
+    (v, u) with u < v is kept as (u, v), and each vertex's neighbours
+    come out in ascending order.  build_normal_graph
     makes the induced, simply connected ones; the bipartite graph N of
     a region keeps only unit edges, leaving out the diagonals between
     its whites.
@@ -122,16 +98,20 @@ class NormalGraph:
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(vertices))
-        self.edges = tuple(sorted(edges))
+        self.edges = tuple(sorted([e if e[0] <= e[1] else (e[1], e[0])
+                                   for e in edges]))
         self.vertex_set = frozenset(self.vertices)
         self.edge_set = frozenset(self.edges)
+        # the edges are sorted and canonical, so each vertex gets its
+        # smaller neighbours and then its larger ones, each ascending
         adjacency = {v: [] for v in self.vertices}
         for u, v in self.edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        self._adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-        self.whites = tuple(v for v in self.vertices if is_white(v))
-        self.blacks = tuple(v for v in self.vertices if is_black(v))
+        self._adjacency = {v: tuple(ns) for v, ns in adjacency.items()}
+        self.whites = tuple([v for v in self.vertices
+                             if not (v[0] + v[1]) % 2])
+        self.blacks = tuple([v for v in self.vertices if (v[0] + v[1]) % 2])
         self.white_count = len(self.whites)
         self.black_count = len(self.blacks)
 
@@ -147,6 +127,16 @@ class NormalGraph:
         """
         return {e: e for e in self.edges}
 
+    @functools.cached_property
+    def diagonals(self) -> tuple[Edge, ...]:
+        """The diagonal edges, in sorted order, found on first use.
+
+        Every edge of Gamma is a unit edge or a diagonal, and only a
+        diagonal moves both coordinates.
+        """
+        return tuple([e for e in self.edges
+                      if e[0][0] != e[1][0] and e[0][1] != e[1][1]])
+
     def __contains__(self, v):
         return v in self.vertex_set
 
@@ -159,10 +149,22 @@ class NormalGraph:
 
 
 def induced_edges(vertex_set) -> list[Edge]:
+    """The edges of Gamma between vertices of vertex_set, in sorted order.
+
+    Each vertex (x, y) tries only its larger neighbours: (x, y + 1) and
+    (x + 1, y), and for a white (x + 1, y - 1) and (x + 1, y + 1) too,
+    in that order.  Walking the vertices in sorted order so emits each
+    edge once, canonical, and already sorted.
+    """
     out = []
-    for v in vertex_set:
-        for w in gamma_neighbors(v):
-            if w in vertex_set and v < w:
+    for v in sorted(vertex_set):
+        x, y = v
+        if (x + y) % 2:
+            ahead = ((x, y + 1), (x + 1, y))
+        else:
+            ahead = ((x, y + 1), (x + 1, y - 1), (x + 1, y), (x + 1, y + 1))
+        for w in ahead:
+            if w in vertex_set:
                 out.append((v, w))
     return out
 
@@ -197,16 +199,20 @@ def build_normal_graph(vertex_set) -> NormalGraph:
     g = NormalGraph(vset, induced_edges(vset))
     if len(reach(g.vertices[:1], g._adjacency.__getitem__)) != len(g):
         raise NotConnectedError("vertex set is not connected in Gamma")
-    triangles = sum(b in vset for e in diagonal_edges(g)
-                    for b in flanking_blacks(e))
+    triangles = sum([((x1, y2) in vset) + ((x2, y1) in vset)
+                     for (x1, y1), (x2, y2) in g.diagonals])
     if len(g.vertices) - len(g.edges) + triangles != 1:
         raise ComplementNotConnectedError("vertex set encloses a hole")
     return g
 
 
 def diagonal_edges(g: NormalGraph) -> tuple[Edge, ...]:
-    """All diagonal edges of g, in sorted order."""
-    return tuple(e for e in g.edges if is_diagonal_edge(e))
+    """All diagonal edges of g, in sorted order.
+
+    This is g's own tuple, g.diagonals, found once per graph and shared
+    by every caller.
+    """
+    return g.diagonals
 
 
 @dataclass(frozen=True)
@@ -316,20 +322,34 @@ class DualGraph:
 
 
 class TemperleyTriple:
-    """H, its full dual, the balanced bipartite graph N, and G."""
+    """H, its full dual, the balanced bipartite graph N, and G.
 
-    def __init__(self, region, h_vertices, h_edges, h_perp, n_graph, g,
+    N is G less f*, v* and the diagonals.  Only the Temperley map reads
+    it, so it is built on first use.
+    """
+
+    def __init__(self, region, h_vertices, h_edges, h_perp, g,
                  e_star1, e_star2):
         self.region = region
         self.h_vertices = h_vertices
         self.h_edges = h_edges
         self.h_perp = h_perp
-        self.n = n_graph
         self.g = g
         self.e_star1 = e_star1
         self.e_star2 = e_star2
         self.f_star = region.f_star
         self.v_star = region.v_star
+
+    @functools.cached_property
+    def n(self) -> NormalGraph:
+        """N: the vertices of G but f* and v*, and the unit edges of G
+        between them."""
+        dropped = (self.f_star, self.v_star)
+        vertices = [v for v in self.g.vertices if v not in dropped]
+        edges = [e for e in self.g.edges
+                 if (e[0][0] == e[1][0] or e[0][1] == e[1][1])
+                 and e[0] not in dropped and e[1] not in dropped]
+        return NormalGraph(vertices, edges)
 
 
 def build_region(region: Region) -> TemperleyTriple:
@@ -417,15 +437,11 @@ def build_region(region: Region) -> TemperleyTriple:
 
     g = build_normal_graph(g_vertices)
 
-    n_vertices = g_vertices - {f_star, v_star}
-    n_edges = [e for e in g.edges
-               if is_unit_edge(e)
-               and e[0] in n_vertices and e[1] in n_vertices]
-    n_graph = NormalGraph(n_vertices, n_edges)
-    if n_graph.white_count != n_graph.black_count:
+    # f* and v* are two whites of G that N lacks
+    if g.white_count - 2 != g.black_count:
         raise RegionError("N is not balanced; region construction is broken")
 
-    return TemperleyTriple(region, h_vertices, h_edges, h_perp, n_graph, g,
+    return TemperleyTriple(region, h_vertices, h_edges, h_perp, g,
                            e_star1, e_star2)
 
 

@@ -131,11 +131,13 @@ class SiteTable(NamedTuple):
 
     vertices[i] is vertex i and index maps it back; sites is
     proposal_sites(g) with each vertex replaced by its index, in the
-    same order.  g.vertices is sorted, so index order is coordinate
-    order and edge(i, j) of two indices is the canonical edge of their
-    vertices.  A mate list, mate[i] the index of vertex i's mate, is
-    what site_move and swap read and move over these sites.  own_edges
-    is g.own_edges, so dimers read off a mate list are g's own tuples.
+    same order, built from unit_squares and t_sites without that list,
+    so a graph that only runs the chain never holds it.  g.vertices is
+    sorted, so index order is coordinate order and edge(i, j) of two
+    indices is the canonical edge of their vertices.  A mate list,
+    mate[i] the index of vertex i's mate, is what site_move and swap
+    read and move over these sites.  own_edges is g.own_edges, so
+    dimers read off a mate list are g's own tuples.
     """
 
     vertices: tuple
@@ -164,8 +166,11 @@ def site_table(g) -> SiteTable:
     if table is None:
         vertices = g.vertices
         index = {v: i for i, v in enumerate(vertices)}
-        sites = tuple((site[0],) + tuple(index[v] for v in site[1:])
-                      for site in proposal_sites(g))
+        sites = [("s", index[a], index[b], index[c], index[d])
+                 for a, b, c, d in unit_squares(g)]
+        sites += [("t", index[a], index[b], index[c], index[d])
+                  for a, b, c, d in t_sites(g)]
+        sites = tuple(sites)
         table = _TABLES[g] = SiteTable(vertices, index, sites, g.own_edges)
     return table
 

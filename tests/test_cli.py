@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from octadimer import cli, kirchhoff, oracle, sampler
 from octadimer.covering import validate_covering
@@ -359,18 +360,46 @@ def test_malformed_covering_points_exit_2(capsys, tmp_path, ell_file,
      "f0a49d4e715d84b88b3c399bf2449eeca395fa6ff2b91dff3a5c26ddcc215fb7"),
     (ELL, ("enumerate", "{}", "--histogram"),
      "428b5a07aaee8b3a48db0a88cfe3a0fab4a3ab135db071024f0fd0def8a77494"),
+    (STRIP2, ("enumerate", "{}"),
+     "064f9669d5efbc19888b253b16955ccdd112583ecebb3125cddb8bbffe592b7c"),
 ])
 def test_output_bytes_are_pinned(capsys, tmp_path, region, argv, sha256):
     # sample and moves recorded before find_moves and the chain shared one
     # move kernel, prob before the Fraction solve became integer elimination,
     # unthinned sample before run tracked the impurities through t-moves,
-    # build and enumerate before the CLI dropped _edge_key, _vertex_key and
-    # _load_covering
+    # build and enumerate --histogram before the CLI dropped _edge_key,
+    # _vertex_key and _load_covering, and full enumerate before _emit
+    # stopped calling json.dumps with indent
     p = tmp_path / "region.json"
     p.write_text(json.dumps(region))
     assert cli.main([a.format(p) for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_error_message_with_a_non_ascii_path_is_pinned(capsys):
+    # recorded while _emit called json.dumps(indent=2, sort_keys=True)
+    path = "/nonexistent/r\u00e9gion-\u00f8.json"
+    code, out = in_process(capsys, "prob", path)
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b0a96bb3fb521519d815c81c4f09618761e814e837e0191f6d7b5c9b289fcf10")
+
+
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.integers(-2 ** 200, 2 ** 200) | st.floats()
+               | st.sampled_from([-0.0, 1e-7, 1e16, 0.1])
+               | st.text() | st.text(st.characters(max_codepoint=0x20)))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@given(json_values)
+def test_writer_matches_indented_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_library_error_exits_2(capsys, monkeypatch, ell_file):

@@ -6,10 +6,69 @@ import pytest
 
 from octadimer.lattice import (
     BLACK, W0, W1, ComplementNotConnectedError, InvalidFStarError,
-    InvalidVStarError, NotConnectedError, Region, RegionError,
+    InvalidVStarError, NormalGraph, NotConnectedError, Region, RegionError,
     build_normal_graph, build_region, classify_vertex, diagonal_edges,
-    edge, ell_region, gamma_neighbors, is_black, is_diagonal_edge,
-    is_unit_edge, is_white, midpoint, reach, strip_region)
+    edge, ell_region, induced_edges, is_diagonal_edge, midpoint, reach,
+    strip_region)
+
+from test_kirchhoff import square_region
+
+
+# Reference geometry of Gamma, stated from its definition; the library
+# builds its graphs without it.
+
+def is_white(v) -> bool:
+    return (v[0] + v[1]) % 2 == 0
+
+
+def is_black(v) -> bool:
+    return (v[0] + v[1]) % 2 == 1
+
+
+def is_unit_edge(e) -> bool:
+    (x1, y1), (x2, y2) = e
+    return abs(x1 - x2) + abs(y1 - y2) == 1
+
+
+UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+DIAGONAL_STEPS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+
+
+def gamma_neighbors(v) -> set:
+    """Neighbors of v in Gamma: 4 for a black vertex, 8 for a white one."""
+    x, y = v
+    out = {(x + dx, y + dy) for dx, dy in UNIT_STEPS}
+    if is_white(v):
+        out |= {(x + dx, y + dy) for dx, dy in DIAGONAL_STEPS}
+    return out
+
+
+def check_graph_construction(tri):
+    """G's edges are Gamma's between its vertices, each listed once in
+    sorted order; neighbour lists are sorted; the diagonals are shared;
+    and the lazy N is the N of the eager construction."""
+    g = tri.g
+    want = {(v, w) for v in g.vertex_set for w in gamma_neighbors(v)
+            if w in g.vertex_set and v < w}
+    got = induced_edges(g.vertex_set)
+    assert got == sorted(want)
+    assert g.edges == tuple(got)
+    for v in g.vertices:
+        ns = g.neighbors(v)
+        assert list(ns) == sorted(ns) == sorted(
+            w for w in gamma_neighbors(v) if w in g.vertex_set)
+    assert diagonal_edges(g) is diagonal_edges(g)
+    assert diagonal_edges(g) == tuple(e for e in g.edges
+                                      if is_diagonal_edge(e))
+    n_vertices = g.vertex_set - {tri.f_star, tri.v_star}
+    eager = NormalGraph(n_vertices,
+                        [e for e in g.edges if is_unit_edge(e)
+                         and e[0] in n_vertices and e[1] in n_vertices])
+    assert tri.n.vertices == eager.vertices
+    assert tri.n.edges == eager.edges
+    assert tri.n.whites == eager.whites and tri.n.blacks == eager.blacks
+    assert all(tri.n.neighbors(v) == eager.neighbors(v)
+               for v in eager.vertices)
 
 
 def flood_has_hole(points, neighbors, step) -> bool:
@@ -82,6 +141,24 @@ def test_unit_square_graph():
     assert g.white_count == 2 and g.black_count == 2
     # one diagonal {(0,0),(1,1)} plus the four sides
     assert len(g.edges) == 5
+    assert diagonal_edges(g) == (((0, 0), (1, 1)),)
+
+
+@pytest.mark.parametrize("region", [strip_region(n) for n in range(1, 9)]
+                         + [ell_region()]
+                         + [square_region(k) for k in (4, 8, 12)])
+def test_graph_construction_on_the_ladder(region):
+    check_graph_construction(build_region(region))
+
+
+def test_normal_graph_canonicalizes_reversed_edges():
+    g = NormalGraph([(0, 0), (1, 0), (0, 1), (1, 1)],
+                    [((1, 1), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (0, 1)),
+                     ((1, 1), (0, 1)), ((1, 0), (1, 1))])
+    want = build_normal_graph([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert g.edges == want.edges
+    assert g.edge_set == want.edge_set
+    assert all(g.neighbors(v) == want.neighbors(v) for v in g.vertices)
     assert diagonal_edges(g) == (((0, 0), (1, 1)),)
 
 

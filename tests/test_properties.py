@@ -30,8 +30,7 @@ from octadimer.kirchhoff import (build_system, coverings_with_impurity,
 from octadimer.lattice import (BLACK, W0, W1, ComplementNotConnectedError,
                                Region, RegionError, build_normal_graph,
                                build_region, classify_vertex, diagonal_edges,
-                               edge, gamma_neighbors, is_black, is_white,
-                               reach, strip_region)
+                               edge, reach, strip_region)
 from octadimer.moves import apply_move, find_moves, t_class
 from octadimer.oracle import enumerate_coverings, impurity_histogram
 from octadimer.sampler import ChainConfig, run
@@ -42,7 +41,9 @@ from octadimer.temperley import initial_covering
 from strategies import regions
 from test_cli import STRIP1
 from test_kirchhoff import assert_matches_reference
-from test_lattice import face_neighbors, flood_has_hole
+from test_lattice import (check_graph_construction, face_neighbors,
+                          flood_has_hole, gamma_neighbors, is_black,
+                          is_white)
 from test_moves import move_back, reference_t_class
 from test_slits import reference_slit_curves
 
@@ -86,6 +87,7 @@ def test_region_invariants(tri):
     assert tri.e_star1 == edge(tri.v_star, tri.f_star)
     assert tri.e_star2 != tri.e_star1 and tri.f_star in tri.e_star2
     assert tri.n.white_count == tri.n.black_count
+    check_graph_construction(tri)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from octadimer.covering import impurities, validate_covering
 from octadimer.lattice import (InvalidInputError, build_normal_graph,
                                build_region, edge)
+from octadimer import moves
 from octadimer.moves import site_move, site_table, t_sites, unit_squares
 from octadimer.oracle import enumerate_coverings
 from octadimer.sampler import (BLOCK_WORDS, RNG_ALGORITHM, ChainConfig,
@@ -274,6 +275,15 @@ def test_site_table_maps_back_onto_proposal_sites(request, name):
     assert all(table.vertices[mate[table.index[v]]] == m0.mate(v)
                for v in g.vertices)
     assert table.dimers(mate) == m0.dimers
+
+
+def test_run_keeps_no_vertex_site_list():
+    # the indexed table is built from the squares and t-sites directly, so
+    # a graph that only runs the chain never holds proposal_sites
+    tri = build_region(square_region(3))
+    report = run(initial_covering(tri), ChainConfig(seed=5, steps=500))
+    assert report.accepted > 0
+    assert tri.g in moves._TABLES and tri.g not in moves._SITES
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,

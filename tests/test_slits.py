@@ -21,7 +21,7 @@ from octadimer import slits
 from octadimer.covering import (DimerCovering, impurities,
                                 validate_covering)
 from octadimer.lattice import (build_normal_graph, build_region, edge,
-                               is_unit_edge, is_white, reach, strip_region)
+                               reach, strip_region)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
 from octadimer.sampler import ChainConfig, run
@@ -34,6 +34,7 @@ from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
 from test_kirchhoff import square_region
+from test_lattice import is_unit_edge, is_white
 
 CCW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
