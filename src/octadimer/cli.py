@@ -4,10 +4,10 @@ Subcommands: build, enumerate, prob, moves, sample, render, selftest.
 Regions travel as {"faces": [[x,y],...], "f_star": [x,y],
 "v_star": [x,y]}, coverings as {"dimers": [[[x1,y1],[x2,y2]], ...]}.
 Every output is JSON with sorted keys (byte-deterministic) except
-render, which emits SVG.  _emit writes it: the bytes are those of
-json.dumps(obj, indent=2, sort_keys=True), whose indented form runs in
-pure Python, produced by _json_text with one join per container and
-the C string encoder.  Exit codes: 0 success, 2 a bad command
+render, which emits SVG.  _emit writes the bytes of json.dumps(obj,
+indent=2, sort_keys=True) through _json_text, one join per container
+over json's C string encoder, because json's own indented encoder runs
+in pure Python.  Exit codes: 0 success, 2 a bad command
 line, a validation failure or an output path that cannot be written, 3
 enumeration infeasible, 1 selftest failure.  Every InvalidInputError a
 command raises becomes exit 2 in main, at one place.
