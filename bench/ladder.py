@@ -57,6 +57,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import platform
@@ -120,6 +121,34 @@ def residual_ok(tri):
     return all(4 * p.counts[v] - sum(p.counts[w] for w in hp.neighbors(v)
                                      if w != hp.f_star) == p.det * b[v]
                for v in hp.faces)
+
+
+def square_det(k):
+    """det A of the k x k square, without the library's elimination.
+
+    A = 4I - T (x) I - I (x) T, T the adjacency of the k-vertex path, is
+    block tridiagonal: M = 4I - T on the diagonal and -I beside it.  The
+    blocks commute, so det A = det P_k(M), where P_k(x), the determinant
+    of the k x k tridiagonal matrix with x on its diagonal and -1 beside
+    it, obeys P_0 = 1, P_1 = x, P_n = x P_{n-1} - P_{n-2}.  P_k(M) is
+    symmetric positive definite like A, so one dense fraction-free
+    (Bareiss) elimination of it needs no row swaps.
+    """
+    m = [[4 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(k)]
+         for i in range(k)]
+    before, p = [[int(i == j) for j in range(k)] for i in range(k)], m
+    for _ in range(k - 1):
+        before, p = p, [[sum(x * y for x, y in zip(row, col)) - z
+                         for col, z in zip(zip(*p), zs)]
+                        for row, zs in zip(m, before)]
+    prev = 1
+    for c in range(k):
+        pivot = p[c][c]
+        for i in range(c + 1, k):
+            f = p[i][c]
+            p[i] = [(pivot * x - f * y) // prev for x, y in zip(p[i], p[c])]
+        prev = pivot
+    return prev
 
 
 def forests_span(fp, g):
@@ -257,6 +286,8 @@ def measure(name, region, repeats, workdir):
     record["seconds"]["prob"], record["prob_ok"] = prob_command(
         path, det, total, repeats)
     if name.startswith("square"):
+        record["square_det_ok"] = det == square_det(
+            math.isqrt(len(region.faces)))
         t_sample, record["sample_ok"] = sample_command(path, tri.g, repeats)
         record["seconds"]["sample"] = t_sample
     if name == "ell":
@@ -331,6 +362,7 @@ def main(argv=None):
     ok = selftest["ok"] and strip_recurrence_ok(records) and all(
         r["residual_ok"] and r["forests_span"] and r["curves_ok"]
         and r["t_class_ok"] and r["prob_ok"] and r.get("sample_ok", True)
+        and r.get("square_det_ok", True)
         and r.get("oracle_ok", True)
         and r.get("connected", True) and r.get("classes_ok", True)
         for r in records)

@@ -83,10 +83,11 @@ def _write(path, text):
 
 
 def _load_region(path):
+    # build_region reads the points through Region.of, once
     obj = _load_json(path)
     try:
-        region = Region.of(obj["faces"], obj["f_star"], obj["v_star"])
-        return build_region(region)
+        return build_region(Region(obj["faces"], obj["f_star"],
+                                   obj["v_star"]))
     except (KeyError, TypeError) as exc:
         _fail(2, type(exc).__name__, "region file %s: %r" % (path, exc))
 
@@ -139,7 +140,7 @@ def cmd_prob(args):
     p = kirchhoff.region_counts(tri)
     edges = []
     for e in diagonal_edges(tri.g):
-        count = p.counts[kirchhoff.impurity_face(tri, e)]
+        count = p.counts[kirchhoff._odd_end(e)]
         edges.append({
             "edge": [list(e[0]), list(e[1])],
             "count": str(count),

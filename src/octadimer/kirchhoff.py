@@ -83,18 +83,24 @@ def eliminate(sys: LaplacianSystem):
     raise InvalidInputError; a zero pivot, which only a singular
     hand-built system can give, raises SingularSystemError.
 
-    Step k updates exactly the rows i > k that hold column k.  Every
-    entry of the partly eliminated A is a minor, symmetric in its row
-    and column because A is, so the filled pattern stays symmetric and
-    those rows are the columns j < n of pivot row k; no face order is
-    assumed.  In lexicographic order, with bandwidth w (k on a k x k
-    square), a pivot row holds at most w columns past its own, so each
-    step updates at most w rows of at most w + 1 entries: O(n w^2) in
-    all.  A row that step k does not update would only be rescaled by
-    pivot/prev; instead it records how many steps it has been through,
-    and is multiplied by piv[k] and divided by piv[that count] when next
-    touched.  The skipped rescales telescope, so the division is exact.
-    The rescale comes before the row's pivot-column factor is read.
+    Every entry of the partly eliminated A is a minor, symmetric in its
+    row and column because A is, so each row stores only its entries on
+    or right of the diagonal, and column n.  Step k updates exactly the
+    rows i > k whose column k is nonzero, and by symmetry those rows are
+    the columns j < n of pivot row k, whose entry f at column i is also
+    row i's factor; no face order is assumed.  Row i needs only the
+    pivot row's columns >= i, so the pivot row is sorted by column once
+    per step and row i takes its tail from column i on.  In
+    lexicographic order, with bandwidth w (k on a k x k square), a pivot
+    row holds at most w columns past its own, so each step updates at
+    most w rows at most w + 1 entries each: O(n w^2) in all, and the
+    tails make about half the entry updates full rows would (column n
+    included: 1 995 against 3 507 on an 8 x 8 square, 32 215 against
+    60 455 on 16 x 16, plus 454 and 3 854 rescales).  A row that step k
+    does not update would only be rescaled by pivot/prev; instead it
+    records how many steps it has been through, and is multiplied by
+    piv[k] and divided by piv[that count] when next touched.  The
+    skipped rescales telescope, so the division is exact.
 
     Row k as it stands at step k is row k of the triangular U p = c the
     elimination leaves, so N_k = (|D| c_k - sum_{j>k} U_kj N_j) / U_kk,
@@ -104,7 +110,7 @@ def eliminate(sys: LaplacianSystem):
     _check_rows(sys, n)
     rows = []
     for i, (adj, b) in enumerate(zip(sys.neighbors, sys.b)):
-        row = dict.fromkeys(adj, -1)
+        row = {j: -1 for j in adj if j > i}
         row[i] = 4
         if b:
             row[n] = b            # column n holds b
@@ -118,19 +124,18 @@ def eliminate(sys: LaplacianSystem):
         pivot = top.pop(k)
         if not pivot:
             raise SingularSystemError("negative Laplacian is singular")
-        top = tuple(top.items())
+        top = sorted(top.items())
         rows[k] = (pivot, top)    # row k of U, final
         prev = piv[k]
         piv.append(pivot)
-        for i, _ in top:
+        for p, (i, f) in enumerate(top):    # f: also row i's column k
             if i == n:
-                continue
+                break
             row = rows[i]
             if level[i] < k:
                 row = {j: x * prev // piv[level[i]] for j, x in row.items()}
-            f = row.pop(k)
             new = {j: (row.pop(j, 0) * pivot - f * y) // prev
-                   for j, y in top}
+                   for j, y in top[p:]}
             for j, x in row.items():
                 new[j] = x * pivot // prev
             rows[i] = new
@@ -150,8 +155,10 @@ def _check_rows(sys: LaplacianSystem, n: int):
     itself, with j in row i exactly when i is in row j, make A symmetric
     and diagonally dominant, so positive semidefinite: a zero leading
     minor then means det A = 0, and the elimination needs no swaps.
-    Symmetry also decides which rows each step updates: eliminate reads
-    them off the pivot row.
+    eliminate relies on that symmetry: it reads the rows each step
+    updates off the pivot row and stores only each row's upper
+    triangle, so an asymmetric row must be rejected here, before any
+    elimination.
     """
     cols = [set(adj) for adj in sys.neighbors]
     if len(cols) != n or len(sys.b) != n:
@@ -221,6 +228,11 @@ def impurity_face(tri: TemperleyTriple, e: Edge):
         raise NotDiagonalError("%r is not a diagonal edge" % (e,))
     if e not in tri.g.edge_set:
         raise NotInGError("%r is not an edge of G" % (e,))
+    return _odd_end(e)
+
+
+def _odd_end(e: Edge):
+    """The odd-odd end of a diagonal edge of G, unchecked."""
     return e[0] if e[0][0] % 2 else e[1]
 
 

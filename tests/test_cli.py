@@ -422,6 +422,23 @@ def test_malformed_coordinates_exit_2(capsys, tmp_path, faces):
     assert obj["error"] == "RegionError"
 
 
+@pytest.mark.parametrize("faces, message", [
+    (5, "faces 5 are not a collection of points"),
+    (None, "faces None are not a collection of points"),
+    ("11", "point '1' is not a pair of integers"),
+    ({"1": [1, 1]}, "point '1' is not a pair of integers"),
+])
+def test_region_faces_not_a_list_exit_2(capsys, tmp_path, faces, message):
+    # recorded while the CLI read the region through Region.of before
+    # build_region read it again
+    p = tmp_path / "bad_faces.json"
+    p.write_text(json.dumps(dict(STRIP1, faces=faces)))
+    for command in ("build", "prob"):
+        code, obj = run_cli_fail(capsys, command, str(p))
+        assert code == 2
+        assert obj == {"error": "RegionError", "message": message}
+
+
 @pytest.mark.parametrize("flags", [("--steps", "-5"),
                                    ("--steps", "5", "--burn-in", "-1"),
                                    ("--steps", "5", "--every", "0")])

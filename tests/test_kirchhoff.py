@@ -8,9 +8,11 @@ against a dense fraction-free Gauss-Jordan with row swaps, kept here as
 the reference (and used on random polyominoes in test_properties.py),
 and by the exact residual A N = |det A| b on the dense rows, also with
 the faces in orders other than build_system's, and on the larger
-squares by its exact residual and a determinant mod a prime.  The
-square regions and the residual check are those of bench/ladder.py,
-which runs the same check in CI; the seeded 60-face polyomino is the one
+squares by its exact residual and a determinant mod a prime.  On
+squares its determinant also equals bench/ladder.py's square_det, the
+path recurrence P_k(4I - T) and one dense elimination.  The square
+regions, the residual check and square_det are those of
+bench/ladder.py, which runs the same checks in CI; the seeded 60-face polyomino is the one
 perfbench/inputs.py draws for the exact workload.
 """
 
@@ -389,6 +391,22 @@ def test_elimination_residual_on_large_squares(k):
     prime = 2 ** 61 - 1
     assert det % prime == det_mod(dense_rows(sys), prime)
     assert det > 0 and all(0 < c < det for c in counts)
+
+
+def test_square_det_by_hand():
+    # one face; 4I minus the 4-cycle, eigenvalues 2, 4, 4, 6; the 3 x 3
+    # grid, eigenvalues 4 - l_i - l_j over the path's l = sqrt 2, 0, -sqrt 2
+    assert [ladder.square_det(k) for k in (1, 2, 3)] == [
+        4, 2 * 4 * 4 * 6, (16 - 8) * (16 - 2) ** 2 * 4 ** 3]
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 16])
+def test_elimination_det_matches_square_det(k):
+    # det P_k(4I - T) from the path recurrence and a dense elimination,
+    # sharing nothing with eliminate; bench/ladder.py checks every
+    # square rung the same way
+    sys = build_system(build_region(square_region(k)).h_perp)
+    assert eliminate(sys)[0] == ladder.square_det(k)
 
 
 def test_system_is_linear_in_size():
