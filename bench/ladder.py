@@ -24,12 +24,13 @@ and slits.forests of every covering.  It checks every region's
 answers: the strip determinants follow a_n = 4 a_{n-1} - a_{n-2} from
 a_0 = 1, a_{-1} = 0; on every region the counts N = |det A| p from
 solve_p satisfy A N = |det A| b, with A and b rebuilt from the dual
-graph, not from the system under test; the forest pair splits G's
-whites into trees; the slit-curves of both coverings use every arc,
-one per (black, corner with both whites in G) pair counted from G
-alone, and each impurity's diagonal midpoint lies on exactly one of
-them, the one slits.impurity_curve returns; the t-class has
-4(|T*| - 1) + d* + 1 members, T* being slits.enclosed_dual_tree of the
+graph, not from the system under test; on each square det A equals
+square_det, computed without the library's elimination; the forest
+pair splits G's whites into trees; the slit-curves of both coverings
+use every arc, one per (black, corner with both whites in G) pair
+counted from G alone, and each impurity's diagonal midpoint lies on
+exactly one of them, the one slits.impurity_curve returns; the t-class
+has 4(|T*| - 1) + d* + 1 members, T* being slits.enclosed_dual_tree of the
 final covering's impurity curve; and `prob` exits 0 with det_A =
 tree_count and total = total_coverings.  On each square `sample` exits
 0, its final covering validates on G, it reports ceil(steps / every)
@@ -130,17 +131,19 @@ def square_det(k):
     block tridiagonal: M = 4I - T on the diagonal and -I beside it.  The
     blocks commute, so det A = det P_k(M), where P_k(x), the determinant
     of the k x k tridiagonal matrix with x on its diagonal and -1 beside
-    it, obeys P_0 = 1, P_1 = x, P_n = x P_{n-1} - P_{n-2}.  P_k(M) is
-    symmetric positive definite like A, so one dense fraction-free
-    (Bareiss) elimination of it needs no row swaps.
+    it, obeys P_0 = 1, P_1 = x, P_n = x P_{n-1} - P_{n-2}, at O(k^2) a
+    step since M is tridiagonal.  P_k(M) is symmetric positive definite
+    like A, so one dense fraction-free (Bareiss) elimination of it needs
+    no row swaps.
     """
-    m = [[4 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(k)]
+    before = [[int(i == j) for j in range(k)] for i in range(k)]
+    p = [[4 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(k)]
          for i in range(k)]
-    before, p = [[int(i == j) for j in range(k)] for i in range(k)], m
     for _ in range(k - 1):
-        before, p = p, [[sum(x * y for x, y in zip(row, col)) - z
-                         for col, z in zip(zip(*p), zs)]
-                        for row, zs in zip(m, before)]
+        # row i of (4I - T) P is 4 P_i - P_{i-1} - P_{i+1}
+        pad = [[0] * k] + p + [[0] * k]
+        before, p = p, [[4 * x - u - d - z for x, u, d, z in zip(
+            pad[i + 1], pad[i], pad[i + 2], before[i])] for i in range(k)]
     prev = 1
     for c in range(k):
         pivot = p[c][c]

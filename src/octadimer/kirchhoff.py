@@ -84,23 +84,20 @@ def eliminate(sys: LaplacianSystem):
     hand-built system can give, raises SingularSystemError.
 
     Every entry of the partly eliminated A is a minor, symmetric in its
-    row and column because A is, so each row stores only its entries on
-    or right of the diagonal, and column n.  Step k updates exactly the
-    rows i > k whose column k is nonzero, and by symmetry those rows are
-    the columns j < n of pivot row k, whose entry f at column i is also
-    row i's factor; no face order is assumed.  Row i needs only the
-    pivot row's columns >= i, so the pivot row is sorted by column once
-    per step and row i takes its tail from column i on.  In
-    lexicographic order, with bandwidth w (k on a k x k square), a pivot
-    row holds at most w columns past its own, so each step updates at
-    most w rows at most w + 1 entries each: O(n w^2) in all, and the
-    tails make about half the entry updates full rows would (column n
-    included: 1 995 against 3 507 on an 8 x 8 square, 32 215 against
-    60 455 on 16 x 16, plus 454 and 3 854 rescales).  A row that step k
-    does not update would only be rescaled by pivot/prev; instead it
-    records how many steps it has been through, and is multiplied by
-    piv[k] and divided by piv[that count] when next touched.  The
-    skipped rescales telescope, so the division is exact.
+    row and column because A is, so a row stores only its columns on or
+    right of the diagonal, and column n.  Step k updates exactly the
+    rows i > k with column k, which by symmetry are the columns j < n
+    of pivot row k, whose entry at column i is row i's factor; no face
+    order is assumed.  Row i takes the pivot row, sorted by column, from
+    column i on.  In lexicographic order, with bandwidth w (k on a k x k
+    square), a pivot row holds at most w columns past its own, so each
+    step updates at most w rows of at most w + 1 entries: O(n w^2), in
+    about half the entry updates of full rows (with column n, 1 995
+    against 3 507 on 8 x 8, 32 215 against 60 455 on 16 x 16).  A row
+    that step k does not update would only be rescaled by pivot/prev;
+    instead it records how many steps it has been through, and is
+    multiplied by piv[k] and divided by piv[that count] when next
+    touched.  The skipped rescales telescope, so the division is exact.
 
     Row k as it stands at step k is row k of the triangular U p = c the
     elimination leaves, so N_k = (|D| c_k - sum_{j>k} U_kj N_j) / U_kk,

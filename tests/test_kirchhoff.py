@@ -12,8 +12,8 @@ squares by its exact residual and a determinant mod a prime.  On
 squares its determinant also equals bench/ladder.py's square_det, the
 path recurrence P_k(4I - T) and one dense elimination.  The square
 regions, the residual check and square_det are those of
-bench/ladder.py, which runs the same checks in CI; the seeded 60-face polyomino is the one
-perfbench/inputs.py draws for the exact workload.
+bench/ladder.py, which runs the same checks in CI; the seeded 60-face
+polyomino is the one perfbench/inputs.py draws for the exact workload.
 """
 
 import dataclasses
