@@ -15,10 +15,10 @@ from .lattice import (NormalGraph, Region, TemperleyTriple,
                       build_normal_graph, build_region, classify_vertex,
                       diagonal_edges, edge, ell_region, strip_region)
 from .moves import (LocalMove, apply_move, find_moves, move_graph_connected,
-                    t_class, t_classes)
+                    proposal_sites, t_class, t_classes)
 from .oracle import (enumerate_coverings, enumerate_spanning_trees,
                      impurity_histogram)
-from .sampler import ChainConfig, SampleReport, proposal_sites, run, step
+from .sampler import ChainConfig, SampleReport, run, step
 from .slits import (ForestPair, SlitCurve, Tree, enclosed_dual_tree,
                     forests, impurity_curve, slit_curves)
 from .temperley import (RootedTree, class_bijection, dual_tree,

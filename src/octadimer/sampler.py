@@ -19,11 +19,12 @@ top k = n.bit_length() bits of one generator word and draws again
 while the value is >= n, and `getrandbits(32 * B)` is the next B
 words, the first one lowest.
 
-`run` moves a mate list over `moves.site_table`, which numbers the
-graph's vertices in sorted order and restates the proposal sites over
-those indices in the same order, so it draws the sites `step` draws and
-`site_move` reads them without hashing a coordinate.  Vertices come
-back through the table only where a move changes what is counted.
+Both draw from `moves.site_table(g).sites`, the one proposal list,
+which numbers the graph's vertices in sorted order and states each site
+over those indices.  `run` moves a mate list over it, so `site_move`
+reads a site without hashing a coordinate, and vertices come back
+through the table only where a move changes what is counted.  `step`
+maps only the drawn site back to vertices.
 """
 
 import random
@@ -35,8 +36,7 @@ from itertools import chain
 from .covering import (DimerCovering, check_covering, impurities,
                        validate_covering)
 from .lattice import InvalidInputError, edge
-from .moves import (LocalMove, apply_move, proposal_sites, site_move,
-                    site_table, swap)
+from .moves import LocalMove, apply_move, site_move, site_table, swap
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 BLOCK_WORDS = 1024      # generator words per block of site draws
@@ -87,15 +87,21 @@ class SampleReport:
 
 
 def step(m: DimerCovering, rng: random.Random) -> DimerCovering:
-    """One lazy chain step from m; returns m itself on a hold."""
-    sites = proposal_sites(m.graph)
+    """One lazy chain step from m; returns m itself on a hold.
+
+    The site is drawn as run draws it, and only its four indices are
+    mapped to vertices; apply_move validates the move.
+    """
+    table = site_table(m.graph)
+    sites = table.sites
     if not sites:
         return m
-    site = sites[rng.randrange(len(sites))]
-    mv = site_move(m.mate_view(), site)
+    kind, a, b, c, d = sites[rng.randrange(len(sites))]
+    vs = table.vertices
+    mv = site_move(m.mate_view(), (kind, vs[a], vs[b], vs[c], vs[d]))
     if mv is None:
         return m
-    return apply_move(m, LocalMove(site[0], *mv))
+    return apply_move(m, LocalMove(kind, *mv))
 
 
 def _site_blocks(sites, rng):

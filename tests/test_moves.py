@@ -318,3 +318,21 @@ def test_t_class_members_are_valid_coverings(name, seed):
             assert all(e is tri.g.own_edges[e] for e in member.dimers)
             assert member.mate_map() == checked.mate_map()
         assert cls == reference_t_class(m)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["square4", "square8"])
+def test_walk_consumers_agree_on_large_classes(name, seed):
+    # t_class builds the members the walk reaches, t_classes keys a
+    # supplied set by the same walk; on a chain sample's class the two
+    # give the same one class
+    tri = build_region(CHAIN_REGIONS[name])
+    report = run(initial_covering(tri),
+                 ChainConfig(seed=seed, steps=40000, sample_every=10000),
+                 keep_trajectory=True)
+    sizes = []
+    for dimers in report.trajectory:
+        cls = t_class(validate_covering(tri.g, dimers))
+        assert t_classes(list(cls)) == [cls]
+        sizes.append(len(cls))
+    assert max(sizes) > 4

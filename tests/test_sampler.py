@@ -10,11 +10,11 @@ from octadimer.covering import impurities, validate_covering
 from octadimer.lattice import (InvalidInputError, build_normal_graph,
                                build_region, edge)
 from octadimer import moves
-from octadimer.moves import site_move, site_table, t_sites, unit_squares
+from octadimer.moves import (proposal_sites, site_move, site_table, t_sites,
+                             unit_squares)
 from octadimer.oracle import enumerate_coverings
 from octadimer.sampler import (BLOCK_WORDS, RNG_ALGORITHM, ChainConfig,
-                               SampleReport, _site_blocks, proposal_sites,
-                               run, step)
+                               SampleReport, _site_blocks, run, step)
 from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
@@ -52,10 +52,9 @@ def test_proposal_sites(ell):
 
 
 def test_proposal_sites_hold_the_graphs_own_vertices(ell):
-    # the cached list adds references, not copies of the vertex tuples
+    # the list adds references, not copies of the vertex tuples
     own = {id(v) for v in ell.g.vertices}
     sites = proposal_sites(ell.g)
-    assert sites is proposal_sites(ell.g)
     assert all(id(v) in own for site in sites for v in site[1:])
 
 
@@ -184,10 +183,17 @@ def test_impurity_counts_match_trajectory(request, name, every, burn_in):
         assert sum(tally.values()) == 4 * rep.n_samples
 
 
+def reference_sites(g):
+    """The proposal list stated from the squares and t-sites, not
+    through the site table the chain draws from."""
+    return ([("s",) + sq for sq in unit_squares(g)]
+            + [("t",) + site for site in t_sites(g)])
+
+
 def reference_run(m0, cfg, keep_trajectory=False):
     """The per-step chain: one randrange and one thinning test per step."""
     g = m0.graph
-    sites = proposal_sites(g)
+    sites = reference_sites(g)
     mate = m0.mate_map()
     impurity_set = set(impurities(m0))
     rng = random.Random(cfg.seed)
@@ -255,9 +261,9 @@ def test_run_matches_reference(request, name, keep_trajectory):
 @pytest.mark.parametrize("name", ["ell", "strip2", "diamond", "unit_square",
                                   "square8"])
 def test_site_table_maps_back_onto_proposal_sites(request, name):
-    # run draws from the indexed sites and step from proposal_sites; the
-    # same draws pick the same site because the tables agree entry by
-    # entry, in order
+    # run and step draw from the indexed sites; the same draws pick the
+    # sites the reference chain picks because the lists agree entry by
+    # entry, in order, and proposal_sites is the table mapped back
     m0 = _start(request, name)
     g = m0.graph
     table = site_table(g)
@@ -265,7 +271,8 @@ def test_site_table_maps_back_onto_proposal_sites(request, name):
     assert table.vertices == g.vertices
     assert table.index == {v: i for i, v in enumerate(g.vertices)}
     assert [(kind,) + tuple(table.vertices[i] for i in site)
-            for kind, *site in table.sites] == list(proposal_sites(g))
+            for kind, *site in table.sites] == reference_sites(g)
+    assert list(proposal_sites(g)) == reference_sites(g)
     # index order is coordinate order, so edge() of two indices is the
     # canonical edge of their vertices
     assert all(tuple(table.vertices[i] for i in edge(j, k))
@@ -278,12 +285,12 @@ def test_site_table_maps_back_onto_proposal_sites(request, name):
 
 
 def test_run_keeps_no_vertex_site_list():
-    # the indexed table is built from the squares and t-sites directly, so
-    # a graph that only runs the chain never holds proposal_sites
+    # the chain keeps the indexed table per graph; proposal_sites maps it
+    # back to vertices on each call and nothing keeps that list
     tri = build_region(square_region(3))
     report = run(initial_covering(tri), ChainConfig(seed=5, steps=500))
     assert report.accepted > 0
-    assert tri.g in moves._TABLES and tri.g not in moves._SITES
+    assert tri.g in moves._TABLES
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,
