@@ -9,7 +9,8 @@ moves.t_class, slits.impurity_curve and render.render_covering with
 curves and forests on that run's final covering, on strips n = 1..8,
 the L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
 v* = (2k, 2)), each the median of five calls after one untimed call of
-the chain and t_class, so the per-graph site lists are built.  It also
+the chain and t_class, so the per-graph site table and the walk's edge
+masks are built.  It also
 times slits.slit_curves cold: on the initial covering of a graph built
 just before each call, so the per-graph arc table starts empty.  On
 every region it times the whole `prob` command in process, stdout
