@@ -2,15 +2,15 @@
 paths over a region ladder.
 
 Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
-and kirchhoff.total_coverings, slits.slit_curves and slits.forests on
-the region's initial_covering, sampler.run (seed 1, 20 000 steps, also
-given as steps per second) from it, and slits.slit_curves,
-moves.t_class, slits.impurity_curve and render.render_covering with
-curves and forests on that run's final covering, on strips n = 1..8,
-the L-region and k x k squares (faces (2i+1, 2j+1), f* = (2k+1, 1),
-v* = (2k, 2)), each the median of five calls after one untimed call of
-the chain and t_class, so the per-graph site table and the walk's edge
-masks are built.  It also
+and kirchhoff.total_coverings, temperley.initial_covering, slits.slit_curves
+and slits.forests on the region's initial_covering, sampler.run (seed 1,
+20 000 steps, also given as steps per second) from it, and
+slits.slit_curves, moves.t_class, temperley.pi, slits.impurity_curve and
+render.render_covering with curves and forests on that run's final
+covering, on strips n = 1..8, the L-region and k x k squares (faces
+(2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of five
+calls after one untimed call of the chain, t_class and pi, so the
+per-graph site table, the walk's edge masks and N are built.  It also
 times slits.slit_curves cold: on the initial covering of a graph built
 just before each call, so the per-graph arc table starts empty.  On
 every region it times the whole `prob` command in process, stdout
@@ -32,7 +32,8 @@ use every arc, one per (black, corner with both whites in G) pair
 counted from G alone, and each impurity's diagonal midpoint lies on
 exactly one of them, the one slits.impurity_curve returns; the t-class
 has 4(|T*| - 1) + d* + 1 members, T* being slits.enclosed_dual_tree of the
-final covering's impurity curve; and `prob` exits 0 with det_A =
+final covering's impurity curve; pi of the final covering plus e*1 is
+a member of its t-class; and `prob` exits 0 with det_A =
 tree_count and total = total_coverings.  On each square `sample` exits
 0, its final covering validates on G, it reports ceil(steps / every)
 samples and its impurity counts sum to that.  On the L-region the
@@ -74,7 +75,7 @@ from octadimer import (ChainConfig, Region, build_region, build_system,
                        class_bijection, ell_region, enclosed_dual_tree,
                        enumerate_coverings, forests, impurities,
                        impurity_curve, initial_covering,
-                       move_graph_connected, run, slit_curves, solve_p,
+                       move_graph_connected, pi, run, slit_curves, solve_p,
                        strip_region, t_class, t_classes, total_coverings,
                        tree_count, validate_covering)
 from octadimer.cli import main as cli_main
@@ -250,15 +251,17 @@ def measure(name, region, repeats, workdir):
     t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
     t_det, det = median_time(lambda: tree_count(system), repeats)
     t_total, total = median_time(lambda: total_coverings(tri), repeats)
-    m = initial_covering(tri)
+    t_initial, m = median_time(lambda: initial_covering(tri), repeats)
     t_curves, curves = median_time(lambda: slit_curves(m), repeats)
     t_forests, fp = median_time(lambda: forests(m), repeats)
     final = run(m, CHAIN).final
     t_class(final)
+    projected = pi(tri, final)
     t_chain, _ = median_time(lambda: run(m, CHAIN), repeats)
     t_final_curves, final_curves = median_time(lambda: slit_curves(final),
                                                repeats)
     t_t_class, cls = median_time(lambda: t_class(final), repeats)
+    t_pi, _ = median_time(lambda: pi(tri, final), repeats)
     e, = impurities(final)
     t_imp_curve, _ = median_time(lambda: impurity_curve(final, e), repeats)
     t_render, _ = median_time(lambda: render_covering(
@@ -272,12 +275,15 @@ def measure(name, region, repeats, workdir):
               "chain_steps_per_s": CHAIN.steps / t_chain,
               "t_class_size": len(cls),
               "t_class_ok": t_class_size_ok(tri, final, len(cls)),
+              "pi_ok": validate_covering(
+                  tri.g, projected.dimers + (tri.e_star1,)) in cls,
               "seconds": {"build_region": t_region, "build_system": t_system,
                           "tree_count": t_det, "total_coverings": t_total,
+                          "initial_covering": t_initial,
                           "slit_curves": t_curves, "forests": t_forests,
                           "chain_run": t_chain,
                           "slit_curves_final": t_final_curves,
-                          "t_class": t_t_class,
+                          "t_class": t_t_class, "pi_final": t_pi,
                           "impurity_curve_final": t_imp_curve,
                           "render_final": t_render,
                           "slit_curves_cold": cold_slit_curves(region,
@@ -365,8 +371,8 @@ def main(argv=None):
     selftest = {"seconds": t_selftest, "ok": code == 0}
     ok = selftest["ok"] and strip_recurrence_ok(records) and all(
         r["residual_ok"] and r["forests_span"] and r["curves_ok"]
-        and r["t_class_ok"] and r["prob_ok"] and r.get("sample_ok", True)
-        and r.get("square_det_ok", True)
+        and r["t_class_ok"] and r["pi_ok"] and r["prob_ok"]
+        and r.get("sample_ok", True) and r.get("square_det_ok", True)
         and r.get("oracle_ok", True)
         and r.get("connected", True) and r.get("classes_ok", True)
         for r in records)

@@ -24,10 +24,10 @@ bits 1 << i over its dimers, i the index of the dimer in g.edges, so
 equal keys mean equal dimers, and a move changes the key by its site's
 four-edge mask.  One mate list over site_table(g), read off the start,
 is moved and moved back through a depth-first search by the same
-site_move and swap, and each covering newly reached is yielded by key.
-t_classes and move_graph_connected require every key reached to be one
-of the supplied coverings'; t_class, with no set to key against, builds
-each member from the member it was reached from.
+site_move and swap; each covering newly reached is yielded and its key
+added to the caller's set, which t_classes and move_graph_connected
+read after requiring each key to be a supplied covering's.  t_class
+builds each member from the member it was reached from.
 """
 
 import weakref
@@ -304,9 +304,10 @@ class IncompleteCoveringSetError(InvalidInputError):
     closed under the moves those walks take."""
 
 
-def _walk(start: DimerCovering, key, pairs_of):
+def _walk(start: DimerCovering, key, pairs_of, seen):
     """Yield (from_key, to_key, move) for each covering that site moves
-    newly reach from start, whose key is key.
+    newly reach from start, whose key is key; key and each key reached
+    go into the caller's set seen, the walk's only one.
 
     start has been checked.  Its mate map is restated once as a mate
     list over site_table(g) and moved in place by a depth-first search:
@@ -323,7 +324,7 @@ def _walk(start: DimerCovering, key, pairs_of):
     mate = table.mate_list(start)
     # index order is coordinate order, so sorted pairs stay sorted
     held = frozenset((index[a], index[b]) for a, b in impurities(start))
-    seen = {key}
+    seen.add(key)
     stack = [(key, held, iter(pairs_of(held)), None)]
     while stack:
         key, held, pairs, came_by = stack[-1]
@@ -355,14 +356,13 @@ def _t_pairs(t_index):
 
 
 def _supplied_keys(start, key, pairs_of, supplied):
-    """The keys _walk reaches from start, key included; a key outside
-    supplied raises IncompleteCoveringSetError."""
-    keys = {key}
-    for _, nxt, _ in _walk(start, key, pairs_of):
+    """The keys _walk reaches from start, key included, as the walk's
+    own set; a key outside supplied raises IncompleteCoveringSetError."""
+    keys = set()
+    for _, nxt, _ in _walk(start, key, pairs_of, keys):
         if nxt not in supplied:
             raise IncompleteCoveringSetError(
                 "a move leaves the supplied covering set")
-        keys.add(nxt)
     return keys
 
 
@@ -384,7 +384,8 @@ def t_class(m: DimerCovering):
     vs = site_table(g).vertices
     key = _key(bits, m)
     members = {key: m}
-    for came_from, nxt, (a, b, c, d) in _walk(m, key, _t_pairs(t_index)):
+    for came_from, nxt, (a, b, c, d) in _walk(m, key, _t_pairs(t_index),
+                                              set()):
         members[nxt] = _moved(members[came_from], vs[a], vs[b], vs[c], vs[d])
     return set(members.values())
 

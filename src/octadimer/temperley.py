@@ -9,12 +9,15 @@ parent, and
 
     M = { {x, mid(e)} : e the parent edge of x in T or T' }
 
-is a dimer covering of N; the map is the classical bijection between
-coverings of N and spanning trees of H.  Conversely every covering of
-G carries exactly one impurity, and within its t-move class there is a
-unique member whose impurity sits on e*1 = {f*, v*}; dropping f*, v*
-and the impurity lands in N.  The composite phi(pi(M)) identifies the
-t-classes of G with the spanning trees of H.
+is a dimer covering of N: the classical bijection between coverings of
+N and spanning trees of H, _tree_dimers its match rule and phi its read
+rule.  A covering of G has one impurity {x, y}, y in H, and phi reads T
+off it too, rooted at y.  A t-move swaps {a,b},{c,d} for {b,c},{d,a},
+d the black midpoint of a and c: it reverses the tree edge through d,
+rerooting T or T' from a to c, and neither edge set changes.  So a
+t-class has one tree, phi(M) = phi(pi(M)), and pi rebuilds its
+covering of N (the class's e*1 = {f*, v*} member less e*1) by the
+match rule, with no walk over the class.
 
 The subtree T* cut out of the dual forest by the impurity curve is
 recovered here without geometry: delete from T' every f*-incident dual
@@ -23,9 +26,10 @@ class contains a covering with impurity {x, y} exactly when the odd
 endpoint x lies in T*.
 """
 
-from .covering import DimerCovering, validate_covering
+from .covering import (DimerCovering, ForeignEdgeError, check_covering,
+                       validate_covering)
 from .lattice import TemperleyTriple, edge, midpoint, reach
-from .moves import t_class, t_classes
+from .moves import t_classes
 
 
 class BijectionError(RuntimeError):
@@ -83,6 +87,8 @@ def _grow(host, root, vertices, adjacency):
 def _h_adjacency(tri: TemperleyTriple, h_edges):
     adjacency = {v: [] for v in tri.h_vertices}
     for e in h_edges:
+        if e not in tri.h_edges:
+            raise ForeignEdgeError(e)
         u, v = e
         adjacency[u].append((v, e))
         adjacency[v].append((u, e))
@@ -104,47 +110,39 @@ def dual_tree(tri: TemperleyTriple, t: RootedTree) -> RootedTree:
     return _grow("HPerp", tri.f_star, tri.h_perp.vertices, adjacency)
 
 
+def _tree_dimers(tri: TemperleyTriple, t: RootedTree) -> list:
+    """Every non-root vertex of t and of its dual tree matched to the
+    black at the midpoint of its parent edge."""
+    return [edge(x, midpoint(h)) for tree in (t, dual_tree(tri, t))
+            for x, (_, h) in tree.up.items()]
+
+
 def temperley_forward(tri: TemperleyTriple, t: RootedTree) -> DimerCovering:
     """The covering of N matching every non-root vertex to its parent edge."""
-    dimers = []
-    for x, (_, h) in t.up.items():
-        dimers.append(edge(x, midpoint(h)))
-    for u, (_, h) in dual_tree(tri, t).up.items():
-        dimers.append(edge(u, midpoint(h)))
-    return validate_covering(tri.n, dimers)
+    return validate_covering(tri.n, _tree_dimers(tri, t))
 
 
 def phi(tri: TemperleyTriple, m: DimerCovering) -> RootedTree:
-    """Read the spanning tree of H off a covering of N.
+    """Read the spanning tree of H off a covering of N or of G.
 
-    Each x other than v* is matched to the black b of one edge of H
-    through x, and that edge runs from x to 2b - x.
+    Each vertex x of H whose mate is a black b gives the edge of H from
+    x to 2b - x.  In N that is every vertex but v*, and in G every
+    vertex but the H end of the impurity.
     """
+    mate = m.mate_view()
     h_edges = set()
     for x in tri.h_vertices:
-        if x == tri.v_star:
-            continue
-        b = m.mate(x)
-        h_edges.add(edge(x, (2 * b[0] - x[0], 2 * b[1] - x[1])))
+        b = mate.get(x)
+        if b is not None and (b[0] + b[1]) % 2:
+            h_edges.add(edge(x, (2 * b[0] - x[0], 2 * b[1] - x[1])))
     return tree_of_h(tri, h_edges)
 
 
 def pi(tri: TemperleyTriple, m: DimerCovering) -> DimerCovering:
-    """Project a covering of G to N through its t-class.
-
-    The class contains exactly one member whose impurity is e*1; strip
-    f*, v* and that impurity from it.
-    """
-    return _project(tri, t_class(m))
-
-
-def _project(tri, cls):
-    hits = [c for c in cls if tri.e_star1 in c.dimers]
-    if len(hits) != 1:
-        raise BijectionError(
-            "t-class carries %d coverings with impurity e*1" % len(hits))
-    dimers = [d for d in hits[0].dimers if d != tri.e_star1]
-    return validate_covering(tri.n, dimers)
+    """Project a covering of G to N: the covering of N with m's tree,
+    which is the e*1 member of m's t-class less f*, v* and e*1."""
+    check_covering(tri.g, m)
+    return temperley_forward(tri, phi(tri, m))
 
 
 def class_bijection(tri: TemperleyTriple, coverings) -> dict:
@@ -156,8 +154,10 @@ def class_bijection(tri: TemperleyTriple, coverings) -> dict:
     """
     classes = {}
     for cls in t_classes(coverings):
-        rep = min(cls, key=lambda c: c.dimers)
-        classes[rep] = phi(tri, _project(tri, cls))
+        hits = [c for c in cls if tri.e_star1 in c.dimers]
+        if len(hits) != 1:
+            raise BijectionError("t-class carries %d e*1 members" % len(hits))
+        classes[min(cls, key=lambda c: c.dimers)] = phi(tri, hits[0])
     trees = list(classes.values())
     if len({t.edges for t in trees}) != len(trees):
         raise BijectionError("two t-classes mapped to the same tree")
@@ -185,5 +185,4 @@ def initial_covering(tri: TemperleyTriple) -> DimerCovering:
     adjacency = {v: sorted(nbrs)
                  for v, nbrs in _h_adjacency(tri, tri.h_edges).items()}
     t = RootedTree("H", tri.v_star, _bfs_up(tri.v_star, adjacency))
-    m = temperley_forward(tri, t)
-    return validate_covering(tri.g, m.dimers + (tri.e_star1,))
+    return validate_covering(tri.g, _tree_dimers(tri, t) + [tri.e_star1])

@@ -1,5 +1,10 @@
 """Tree encodings of coverings and the class-level bijection.
 
+pi is checked against the move-based t-class walk: on every covering
+of the L-region and of strips 2-4, and on chain samples of the 4x4 and
+8x8 squares, pi(m) is the class's e*1 member less e*1, and phi reads
+one tree off every member of the class.
+
 The heavy test sweeps all 328 coverings of the L-region: for every
 t-class the enclosed dual tree T* must be the same for each member,
 must equal the tree predicted by impurity_support on the class's
@@ -11,15 +16,21 @@ diagonals whose odd-odd endpoint lies in T*.
 from collections import defaultdict
 from fractions import Fraction
 
-from octadimer.covering import impurities, validate_covering
+import pytest
+
+from octadimer.covering import ForeignEdgeError, impurities, validate_covering
 from octadimer.kirchhoff import region_counts
-from octadimer.lattice import diagonal_edges
+from octadimer.lattice import (build_region, diagonal_edges, ell_region,
+                               strip_region)
 from octadimer.moves import t_class, t_classes
-from octadimer.oracle import enumerate_spanning_trees
+from octadimer.oracle import enumerate_coverings, enumerate_spanning_trees
+from octadimer.sampler import ChainConfig, run
 from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
 from octadimer.temperley import (class_bijection, dual_tree,
                                  impurity_support, initial_covering, phi, pi,
                                  temperley_forward, tree_of_h)
+
+from test_kirchhoff import square_region
 
 
 def all_h_trees(tri):
@@ -38,6 +49,17 @@ def test_tree_complementarity(ell):
         assert not (t.edges & tp.edges)
 
 
+def test_tree_of_h_rejects_edges_outside_h(ell):
+    side = ((0, 2), (0, 4))
+    keys = next(set(k) for k in all_h_trees(ell)
+                if side in k and ((0, 0), (0, 2)) in k)
+    # (0,0)-(0,4) joins two vertices of H, and swapped in for (0,2)-(0,4)
+    # it leaves an edge set that spans H without a cycle
+    for foreign in (((0, 0), (0, 4)), ((100, 100), (102, 100))):
+        with pytest.raises(ForeignEdgeError):
+            tree_of_h(ell, keys - {side} | {foreign})
+
+
 def test_forward_phi_round_trip(ell):
     for keys in all_h_trees(ell):
         t = tree_of_h(ell, keys)
@@ -47,6 +69,10 @@ def test_forward_phi_round_trip(ell):
 
 
 def test_initial_covering(ell, strip1, strip2):
+    # the initial covering is built on G alone: N is left unbuilt
+    fresh = build_region(ell_region())
+    assert initial_covering(fresh) == initial_covering(ell)
+    assert "n" not in fresh.__dict__
     for tri in (ell, strip1, strip2):
         m = initial_covering(tri)
         assert impurities(m) == (tri.e_star1,)
@@ -56,15 +82,34 @@ def test_initial_covering(ell, strip1, strip2):
         assert set(r.dimers) | {tri.e_star1} == set(m.dimers)
 
 
+def pi_cases(ell, ell_coverings):
+    """(triple, coverings of its G): every covering of the L-region and
+    of strips 2-4, and the finals of 20 000-step chains on the 4x4 and
+    8x8 squares."""
+    yield ell, ell_coverings
+    for n in (2, 3, 4):
+        tri = build_region(strip_region(n))
+        yield tri, enumerate_coverings(tri.g)
+    for k in (4, 8):
+        tri = build_region(square_region(k))
+        m0 = initial_covering(tri)
+        yield tri, [run(m0, ChainConfig(seed=1, steps=20000)).final]
+
+
 def test_pi_projects_to_n(ell, ell_coverings):
-    for m in ell_coverings[::9]:
-        r = pi(ell, m)
-        # the projection lives on N: no impurity left, f* and v* gone
-        assert impurities(r) == ()
-        assert ell.f_star not in r.mate_map()
-        # re-adding e*1 recovers a G-covering t-equivalent to m
-        rep = validate_covering(ell.g, r.dimers + (ell.e_star1,))
-        assert rep in t_class(m)
+    for tri, coverings in pi_cases(ell, ell_coverings):
+        for m in coverings:
+            r = pi(tri, m)
+            # the projection lives on N: no impurity left, f* and v* gone
+            assert impurities(r) == ()
+            assert tri.f_star not in r.mate_map()
+            # it is the class's one e*1 member less e*1, as the walk finds
+            cls = t_class(m)
+            (hit,) = [c for c in cls if tri.e_star1 in c.dimers]
+            assert r == validate_covering(
+                tri.n, [d for d in hit.dimers if d != tri.e_star1])
+            # and phi reads one tree off every member of the class
+            assert {phi(tri, c) for c in cls} == {phi(tri, r)}
 
 
 def test_class_bijection_is_bijective(ell, ell_coverings):
