@@ -11,8 +11,10 @@ covering, on strips n = 1..8, the L-region and k x k squares (faces
 (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of five
 calls after one untimed call of the chain, t_class and pi, so the
 per-graph site table, the walk's edge masks and N are built.  It also
-times slits.slit_curves cold: on the initial covering of a graph built
-just before each call, so the per-graph arc table starts empty.  On
+times slits.slit_curves and render.render_covering with curves and
+forests cold: on the initial covering of a graph built just before each
+call, so the per-graph segment and fragment tables start empty, as in
+a one-shot `render` command.  On
 every region it times the whole `prob` command in process, stdout
 captured, on a region file, and on each square the whole `sample`
 command (seed 1, 20 000 steps, every 100th state), which builds the
@@ -186,16 +188,20 @@ def curves_ok(m, curves):
     return True
 
 
-def cold_slit_curves(region, repeats):
-    """Median time of slit_curves on the initial covering of a graph
-    built just before the call, so no per-graph table is filled yet."""
+def cold_time(region, fn, repeats):
+    """Median time of fn on the initial covering of a graph built just
+    before the call, so no per-graph table is filled yet."""
     times = []
     for _ in range(repeats):
         m = initial_covering(build_region(region))
         start = time.perf_counter()
-        slit_curves(m)
+        fn(m)
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def render_all(m):
+    return render_covering(m, show_slits=True, show_forests=True)
 
 
 def cli_call(argv):
@@ -264,8 +270,7 @@ def measure(name, region, repeats, workdir):
     t_pi, _ = median_time(lambda: pi(tri, final), repeats)
     e, = impurities(final)
     t_imp_curve, _ = median_time(lambda: impurity_curve(final, e), repeats)
-    t_render, _ = median_time(lambda: render_covering(
-        final, show_slits=True, show_forests=True), repeats)
+    t_render, _ = median_time(lambda: render_all(final), repeats)
     record = {"name": name, "faces": len(region.faces),
               "det_bits": det.bit_length(), "det": str(det),
               "total": str(total), "residual_ok": residual_ok(tri),
@@ -286,8 +291,10 @@ def measure(name, region, repeats, workdir):
                           "t_class": t_t_class, "pi_final": t_pi,
                           "impurity_curve_final": t_imp_curve,
                           "render_final": t_render,
-                          "slit_curves_cold": cold_slit_curves(region,
-                                                               repeats)}}
+                          "slit_curves_cold": cold_time(region, slit_curves,
+                                                        repeats),
+                          "render_cold": cold_time(region, render_all,
+                                                   repeats)}}
     path = os.path.join(workdir, name + ".json")
     with open(path, "w") as f:
         json.dump({"faces": [list(v) for v in region.faces],

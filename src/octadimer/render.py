@@ -73,9 +73,10 @@ _STATIC = weakref.WeakKeyDictionary()
 
 def _static(g):
     """The parts of g's picture that no covering changes, made once per
-    graph object: each layer is already joined, so a render formats only
-    the dimers, forests and curves.  Every part is immutable, so no
-    render can change what the next one reads."""
+    graph object: each layer is already joined, so a render adds only
+    the dimers, forests and curves, joined from g's fragments.  Every
+    part is immutable, so no render can change what the next one
+    reads."""
     static = _STATIC.get(g)
     if static is None:
         frame = _Frame.of(g.vertices)
@@ -101,6 +102,52 @@ def _static(g):
     return static
 
 
+class _Formatted(dict):
+    """key -> its fragment, formatted by fmt on first use."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt):
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        value = self[key] = self.fmt(key)
+        return value
+
+
+class _Fragments(NamedTuple):
+    dimers: _Formatted   # edge -> its line as a dimer or the impurity
+    primary: _Formatted  # edge -> its line in a primary tree
+    dual: _Formatted     # edge -> its line in a dual tree
+    points: _Formatted   # doubled curve point -> its "x,y"
+
+
+# graph -> its _Fragments
+_FRAGMENTS = weakref.WeakKeyDictionary()
+
+
+def _fragments(g, static):
+    """g's table of the fragments a covering's layers are joined from,
+    one per graph object, each fragment formatted when a render first
+    needs it.  A fragment is a string that depends only on g, its edge
+    or point and its layer, so what one render adds to the table is
+    what any later render of g would format."""
+    fragments = _FRAGMENTS.get(g)
+    if fragments is None:
+        px, at = static.px, static.frame.at
+
+        def lines(style_of):
+            return _Formatted(lambda e: _line(px, e[0], e[1], style_of(e)))
+
+        fragments = _FRAGMENTS[g] = _Fragments(
+            lines(lambda e: IMPURITY_STYLE if is_diagonal_edge(e)
+                  else DIMER_STYLE),
+            lines(lambda e: PRIMARY_STYLE),
+            lines(lambda e: DUAL_STYLE),
+            _Formatted(lambda p: "%d,%d" % at(p)))
+    return fragments
+
+
 def render_covering(m: DimerCovering, show_slits=False,
                     show_forests=False) -> str:
     """An SVG 1.1 document for the covering, stable byte for byte.
@@ -109,23 +156,22 @@ def render_covering(m: DimerCovering, show_slits=False,
     vertices, so the covering's layers lie over the graph's edges and
     under its vertices.
     """
-    static = _static(m.graph)
-    frame, px = static.frame, static.px
+    g = m.graph
+    static = _static(g)
+    fragments = _fragments(g, static)
     parts = [static.head, static.edges]
-    for e in m.dimers:
-        style = IMPURITY_STYLE if is_diagonal_edge(e) else DIMER_STYLE
-        parts.append(_line(px, e[0], e[1], style))
+    parts += map(fragments.dimers.__getitem__, m.dimers)
     if show_forests:
         fp = forests(m)
-        for trees, style in ((fp.primary, PRIMARY_STYLE),
-                             (fp.dual, DUAL_STYLE)):
+        for trees, lines in ((fp.primary, fragments.primary),
+                             (fp.dual, fragments.dual)):
             for tree in trees:
-                for e in sorted(tree.edges):
-                    parts.append(_line(px, e[0], e[1], style))
+                parts += map(lines.__getitem__, sorted(tree.edges))
     if show_slits:
+        point = fragments.points.__getitem__
         for c in sorted(slit_curves(m), key=lambda c: c.points):
-            pts = " ".join("%d,%d" % frame.at(p) for p in c.points)
-            parts.append('<polyline points="%s" %s/>' % (pts, SLIT_STYLE))
+            parts.append('<polyline points="%s" %s/>'
+                         % (" ".join(map(point, c.points)), SLIT_STYLE))
     parts.append(static.vertices)
     parts.append('</svg>')
     return "\n".join(parts) + "\n"

@@ -10,9 +10,12 @@ is therefore crossed exactly when it is perpendicular to the dimer at
 its black endpoint, and a black's dimer edge and the edge opposite it
 are never crossed.
 
-Chaining arcs through shared points gives the slit-curves.  Curve
-points are named by the doubled midpoint of the edge they sit on, so
-all the geometry stays in integers.
+Chaining arcs through shared points gives the slit-curves.  A unit
+edge has one black end, so arcs meet at a unit point only within one
+black, whose arcs are joined there into segments once per graph; the
+curves chain those segments through the diagonal points.  Curve points
+are named by the doubled midpoint of the edge they sit on, so all the
+geometry stays in integers.
 
 Cutting G along the curves severs every diagonal with a flanking black
 in G and every unit edge perpendicular to a dimer, so each black keeps
@@ -93,16 +96,15 @@ class ForestPair:
     dual: tuple     # trees on W1
 
 
-# graph -> ({black: its arcs} for blacks whose dimer is vertical, the
+# graph -> ({black: its segments} for blacks whose dimer is vertical, the
 # same for horizontal dimers), one entry filled per black and
 # orientation on first use
-_ARCS = weakref.WeakKeyDictionary()
+_SEGMENTS = weakref.WeakKeyDictionary()
 
 
 def _black_arcs(vs, b, w):
-    """The quarter arcs at black b whose dimer sits at w, as the flat
-    tuple (diag_point, unit_point, diag_point, unit_point, ...); vs is
-    the vertex set of b's graph."""
+    """The quarter arcs at black b whose dimer sits at w, as
+    (diag_point, unit_point) pairs; vs is the vertex set of b's graph."""
     x, y = b
     ring = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))  # CCW
     present = tuple(map(vs.__contains__, ring))
@@ -114,81 +116,120 @@ def _black_arcs(vs, b, w):
             wi, wk = ring[i], ring[k]
             # the dimer at w_{i+1} or w_{i+3}: bend around w_i
             center = wi if (j - i) % 2 else wk
-            arcs += ((wi[0] + wk[0], wi[1] + wk[1]),
-                     (center[0] + x, center[1] + y))
-    return tuple(arcs)
-
-
-def _arc_table(g):
-    """g's table of black arcs.
-
-    A black's arcs depend on g and on j mod 2 alone, j the ring index
-    of its mate: on whether its dimer is horizontal.  So they are
-    computed once per graph object, black and orientation, and only
-    when a covering first needs them, so a fresh graph's first call
-    computes no arcs it does not use.  An entry is one flat tuple keyed
-    by the graph's own black, since every object the table keeps adds
-    to the garbage collector's work on a fresh graph's first call.
-    """
-    table = _ARCS.get(g)
-    if table is None:
-        table = _ARCS[g] = ({}, {})
-    return table
-
-
-def _arcs_at(table, vs, b, w):
-    arcs_of = table[w[1] == b[1]]       # whether b's dimer is horizontal
-    arcs = arcs_of.get(b)
-    if arcs is None:
-        arcs = arcs_of[b] = _black_arcs(vs, b, w)
+            arcs.append(((wi[0] + wk[0], wi[1] + wk[1]),
+                         (center[0] + x, center[1] + y)))
     return arcs
 
 
-def _arc_ends(m: DimerCovering):
-    """(diag_point, unit_point) of every quarter arc of m."""
-    g = m.graph
-    vs = g.vertex_set
-    table = _arc_table(g)
-    mate = m._mate
-    ends = []
-    for b in g.blacks:
-        ends += _arcs_at(table, vs, b, mate[b])
-    points = iter(ends)
-    return zip(points, points)
+def _black_segments(vs, b, w):
+    """The arcs of black b whose dimer sits at w, joined at their unit
+    points and listed once from each diagonal end: (d, u, d') where two
+    arcs meet at u, and (d, u) where u ends a curve.
+
+    A unit point is the midpoint of an edge at b, so no other black has
+    an arc there, and each item is one arc of the curves.  A third arc
+    at a unit point raises SlitCrossingError.
+    """
+    at = {}
+    for d, u in _black_arcs(vs, b, w):
+        at.setdefault(u, []).append(d)
+    segments = []
+    for u, ds in at.items():
+        if len(ds) > 2:
+            raise SlitCrossingError("curve point %r has degree %d"
+                                    % (u, len(ds)))
+        if len(ds) == 1:
+            segments.append((ds[0], u))
+        else:
+            d, e = ds
+            segments += ((d, u, e), (e, u, d))
+    return tuple(segments)
+
+
+def _segment_table(g):
+    """g's table of black segments.
+
+    A black's arcs depend on g and on j mod 2 alone, j the ring index
+    of its mate: on whether its dimer is horizontal.  So its segments
+    are computed once per graph object, black and orientation, and only
+    when a covering first needs them, so a fresh graph's first call
+    joins no arcs it does not use.
+    """
+    table = _SEGMENTS.get(g)
+    if table is None:
+        table = _SEGMENTS[g] = ({}, {})
+    return table
+
+
+def _segments_at(table, vs, b, w):
+    segments_of = table[w[1] == b[1]]       # whether b's dimer is horizontal
+    segments = segments_of.get(b)
+    if segments is None:
+        segments = segments_of[b] = _black_segments(vs, b, w)
+    return segments
 
 
 def slit_curves(m: DimerCovering):
-    """The set of slit-curves of m, each in canonical direction."""
-    nbrs = {}
-    arcs = 0
-    for p, q in _arc_ends(m):
-        nbrs.setdefault(p, []).append(q)
-        nbrs.setdefault(q, []).append(p)
-        arcs += 1
-    for p, ns in nbrs.items():
-        if len(ns) > 2:
-            raise SlitCrossingError("curve point %r has degree %d"
-                                    % (p, len(ns)))
+    """The set of slit-curves of m, each in canonical direction.
 
-    # every open curve runs between two points of degree 1; arcs that
-    # no such walk uses lie on closed loops
+    Every black's segments are keyed by the diagonal point they start
+    from, at most two to a point, the first and the second to arrive.
+    A curve runs from a diagonal point with one segment or from the
+    unit point that ends a segment, and leaves each diagonal point it
+    reaches through its other segment: the one that does not come back
+    through the unit point it arrived by.
+    """
+    g = m.graph
+    vs = g.vertex_set
+    table = _segment_table(g)
+    mate = m._mate
+    first, second = {}, {}
+    crowded = []
+    tips = []
+    arcs = 0
+    for b in g.blacks:
+        for s in _segments_at(table, vs, b, mate[b]):
+            d = s[0]
+            if d not in first:
+                first[d] = s
+            elif d not in second:
+                second[d] = s
+            else:
+                crowded.append(d)
+            if len(s) == 2:
+                tips.append(s)
+            arcs += 1
+    if crowded:
+        d = crowded[0]
+        raise SlitCrossingError("curve point %r has degree %d"
+                                % (d, 2 + crowded.count(d)))
+
+    # every open curve runs between two ends; arcs that no walk from an
+    # end uses lie on closed loops
+    starts = [((d,), d, None) for d in first if d not in second]
+    starts += [((s[1], s[0]), s[0], s[1]) for s in tips]
     curves = []
     ends = set()
     used = 0
-    for start, ns in nbrs.items():
-        if len(ns) != 1 or start in ends:
+    for points, d, u in starts:
+        if points[0] in ends:
             continue
-        prev, point = start, ns[0]
-        points = [start, point]
-        ns = nbrs[point]
-        while len(ns) == 2:
-            a, b = ns
-            prev, point = point, (b if a == prev else a)
-            points.append(point)
-            ns = nbrs[point]
-        ends.add(point)
+        points = list(points)
+        while True:
+            s = first[d]
+            if s[1] == u:               # the segment back to u
+                s = second.get(d)
+                if s is None:
+                    break
+            u = s[1]
+            points.append(u)
+            if len(s) == 2:
+                break
+            d = s[2]
+            points.append(d)
+        ends.add(points[-1])
         used += len(points) - 1
-        if point < start:
+        if points[-1] < points[0]:
             points.reverse()
         curves.append(SlitCurve(tuple(points)))
     if used != arcs:
@@ -267,32 +308,14 @@ def forests(m: DimerCovering) -> ForestPair:
                       tuple(sorted(dual, key=Tree.sort_key)))
 
 
-def _follow(arcs, p):
-    """One black's step along a curve entering it at diagonal point p:
-    the unit point its arc from p reaches, and the diagonal point its
-    other arc at that unit point reaches; None where there is none.
-
-    A diagonal point is odd-odd and a unit point is not, so p can only
-    sit at an even position of the flat arcs."""
-    try:
-        i = arcs.index(p)
-    except ValueError:
-        return None, None
-    q = arcs[i + 1]
-    for j in range(1, len(arcs), 2):
-        if arcs[j] == q and j != i + 1:
-            return q, arcs[j - 1]
-    return q, None
-
-
 def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
     """The unique slit-curve passing through the impurity e of m.
 
     Only that curve is traced, from e's midpoint both ways: a flanking
-    black in G takes the curve through its two arcs at one unit point
-    to its next diagonal, whose other flanking black b' = p - b (p the
+    black in G takes the curve along its segment from that diagonal to
+    its next one, whose other flanking black b' = p - b (p the
     diagonal's doubled midpoint) takes over, until that black is not in
-    G or a black has no second arc.
+    G or a segment ends at a unit point.
     """
     e = _edge_arg(e)
     mate = m._mate
@@ -300,7 +323,7 @@ def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
         raise NoCurveError("%r is not an impurity of the covering" % (e,))
     g = m.graph
     vs = g.vertex_set
-    table = _arc_table(g)
+    table = _segment_table(g)
     start = _doubled_mid(*e)
     seen = {start}
     halves = []
@@ -308,12 +331,14 @@ def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
         p = start
         half = []
         while b in vs:
-            q, p = _follow(_arcs_at(table, vs, b, mate[b]), p)
-            if q is None:
+            s = next((s for s in _segments_at(table, vs, b, mate[b])
+                      if s[0] == p), None)
+            if s is None:
                 break
-            half.append(q)
-            if p is None:
+            half.append(s[1])
+            if len(s) == 2:
                 break
+            p = s[2]
             if p in seen:
                 raise SlitLoopError(
                     "the slit-curve through %r closes on itself" % (e,))
@@ -342,14 +367,14 @@ def _diagonal_of(p):
     raise ValueError("%r is not a diagonal midpoint" % (p,))
 
 
-def _inside(q, polygon):
-    # Even-odd rule with a horizontal ray; strict inequalities make
-    # vertices on the ray count as below it, so no perturbation is
-    # needed.  All coordinates are integers and q is never on the
-    # polygon, so the test is exact.
+def _inside(q, sides):
+    # Even-odd rule with a horizontal ray over the polygon's sides;
+    # strict inequalities make vertices on the ray count as below it,
+    # so no perturbation is needed.  All coordinates are integers and q
+    # is never on the polygon, so the test is exact.
     qx, qy = q
     inside = False
-    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+    for (x1, y1), (x2, y2) in sides:
         if (y1 > qy) != (y2 > qy):
             # crossing abscissa minus qx, scaled by (y2 - y1)
             lhs = (x1 - qx) * (y2 - y1) + (qy - y1) * (x2 - x1)
@@ -380,10 +405,17 @@ def enclosed_dual_tree(c: SlitCurve, fp: ForestPair) -> Tree:
         raise StructureError(
             "curve wraps the even vertex %r, not a dual tree" % (z,))
     polygon = list(c.points) + [(2 * z[0], 2 * z[1])]
+    sides = list(zip(polygon, polygon[1:] + polygon[:1]))
+    # the interior lies inside the polygon's open bounding box
+    xs = [x for x, _ in polygon]
+    ys = [y for _, y in polygon]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     sites = {z}
     for tree in fp.dual:
         for w in tree.vertices:
-            if w != z and _inside((2 * w[0], 2 * w[1]), polygon):
+            q = (2 * w[0], 2 * w[1])
+            if (x0 < q[0] < x1 and y0 < q[1] < y1 and w != z
+                    and _inside(q, sides)):
                 sites.add(w)
     for tree in fp.dual:
         if tree.vertices == sites:

@@ -58,8 +58,11 @@ class RootedTree:
             self.host, self.root, len(self.edges))
 
 
-def _bfs_up(root, adjacency):
-    # Breadth-first parent map, each level visited in sorted order.
+def _bfs_up(root, adjacency, sort=False):
+    # Breadth-first parent map.  A tree has one orientation toward its
+    # root, so only a choice of tree out of a graph, as initial_covering
+    # makes, depends on the visiting order; sort visits each level in
+    # sorted order.
     up = {}
     seen = {root}
     queue = [root]
@@ -71,7 +74,7 @@ def _bfs_up(root, adjacency):
                     seen.add(w)
                     up[w] = (v, key)
                     nxt.append(w)
-        queue = sorted(nxt)
+        queue = sorted(nxt) if sort else nxt
     return up
 
 
@@ -184,5 +187,5 @@ def initial_covering(tri: TemperleyTriple) -> DimerCovering:
     """A deterministic covering of G: BFS tree of H plus the e*1 impurity."""
     adjacency = {v: sorted(nbrs)
                  for v, nbrs in _h_adjacency(tri, tri.h_edges).items()}
-    t = RootedTree("H", tri.v_star, _bfs_up(tri.v_star, adjacency))
+    t = RootedTree("H", tri.v_star, _bfs_up(tri.v_star, adjacency, sort=True))
     return validate_covering(tri.g, _tree_dimers(tri, t) + [tri.e_star1])

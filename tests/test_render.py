@@ -54,9 +54,11 @@ def test_pinned_bytes(name):
 
 def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
     # what renders of one graph share is its static record, whose parts
-    # are strings, a named tuple of ints and a read-only mapping; a
-    # render of another covering in between leaves a covering's bytes
-    # as they were
+    # are strings, a named tuple of ints and a read-only mapping, and its
+    # fragment table, which a render only adds to: each entry is an
+    # immutable string that depends only on the graph, its edge or
+    # point and its layer, so a render of another covering in between
+    # leaves a covering's bytes as they were
     kw = {"show_slits": True, "show_forests": True}
     a, b = ell_coverings[0], ell_coverings[1]
     first = render_covering(a, **kw)
@@ -66,20 +68,27 @@ def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
     assert all(type(x) is int for x in static.frame)
     with pytest.raises(TypeError):
         static.px[ell.g.vertices[0]] = (0, 0)
+    fragments = render._FRAGMENTS[ell.g]
+    before = [dict(layer) for layer in fragments]
     assert render_covering(b, **kw) != first
     assert render_covering(a, **kw) == first
     assert render._STATIC[ell.g] is static
+    assert render._FRAGMENTS[ell.g] is fragments
+    for layer, old in zip(fragments, before):
+        assert all(layer[key] is value for key, value in old.items())
+        assert all(type(value) is str and value == layer.fmt(key)
+                   for key, value in layer.items())
 
 
 def test_a_collected_graph_leaves_no_cache_entry():
-    before = (len(slits._ARCS), len(render._STATIC))
+    tables = (slits._SEGMENTS, render._STATIC, render._FRAGMENTS)
+    before = [len(t) for t in tables]
     m = initial_covering(build_region(ell_region()))
-    render_covering(m, show_slits=True)
-    assert (len(slits._ARCS), len(render._STATIC)) == (before[0] + 1,
-                                                       before[1] + 1)
+    render_covering(m, show_slits=True, show_forests=True)
+    assert [len(t) for t in tables] == [n + 1 for n in before]
     del m
     gc.collect()
-    assert (len(slits._ARCS), len(render._STATIC)) == before
+    assert [len(t) for t in tables] == before
 
 
 def test_byte_deterministic(ell):

@@ -8,7 +8,7 @@ vertex of Gamma (which doubles to (even, even)).
 The diamond fixture freezes a full hand-checked configuration: every
 crossed edge, every curve, both forests, and the enclosed tree of each
 of the four impurity curves.  Arc objects and the arc-by-arc chainer
-below are the reference the point-map tracer of slits.slit_curves is
+below are the reference the segment tracer of slits.slit_curves is
 compared against, and that tracer is the reference for the one-curve
 walk of slits.impurity_curve.
 """
@@ -50,6 +50,13 @@ class Arc:
 
 def _doubled_mid(u, v):
     return (u[0] + v[0], u[1] + v[1])
+
+
+def _black_of(arc):
+    """The black whose arc it is: its unit point is the doubled
+    midpoint of the edge from its center to that black."""
+    return (arc.unit_point[0] - arc.center[0],
+            arc.unit_point[1] - arc.center[1])
 
 
 def arcs_of(m):
@@ -111,6 +118,15 @@ def reference_slit_curves(m):
     if unused:
         raise SlitLoopError("%d arcs form closed loops" % len(unused))
     return frozenset(curves)
+
+
+def table_items(m):
+    """(black, item) for every item of m's blacks' entries in the
+    per-graph segment table, filling what is missing."""
+    g = m.graph
+    table = slits._segment_table(g)
+    return [(b, s) for b in g.blacks
+            for s in slits._segments_at(table, g.vertex_set, b, m.mate(b))]
 
 
 def crossed_unit_edges(m):
@@ -206,7 +222,8 @@ def test_arcs_count(diamond):
         assert a.diag_point[0] % 2 and a.diag_point[1] % 2
         assert (a.unit_point[0] + a.unit_point[1]) % 2
     assert len({(a.diag_point, a.unit_point) for a in arcs}) == len(arcs)
-    ends = list(slits._arc_ends(diamond))
+    # each item of the segment table is one arc: its first two points
+    ends = [s[:2] for _, s in table_items(diamond)]
     assert len(ends) == len(arcs)
     assert set(ends) == {(a.diag_point, a.unit_point) for a in arcs}
 
@@ -225,12 +242,22 @@ def test_slit_curves_match_reference(diamond, ell_coverings,
 
 def test_arc_table_matches_reference(diamond, ell_coverings,
                                      strip_coverings):
-    # the per-graph table gives every covering its own arcs, in the
-    # reference's order, on the call that fills it and after
+    # the per-graph table gives every black of every covering its own
+    # arcs, on the call that fills it and after, and joins them as the
+    # reference does: an item (d, u, d') for the two arcs at u, (d, u)
+    # for a unit point u with one arc
     for m in [diamond, *ell_coverings, *strip_coverings]:
-        want = [(a.diag_point, a.unit_point) for a in arcs_of(m)]
-        assert list(slits._arc_ends(m)) == want
-        assert list(slits._arc_ends(m)) == want
+        arcs = arcs_of(m)
+        want = sorted((_black_of(a), a.diag_point, a.unit_point)
+                      for a in arcs)
+        at_unit = {}
+        for a in arcs:
+            at_unit.setdefault(a.unit_point, set()).add(a.diag_point)
+        for _ in range(2):
+            items = table_items(m)
+            assert sorted((b,) + s[:2] for b, s in items) == want
+            for _, s in items:
+                assert {s[0], *s[2:]} == at_unit[s[1]]
 
 
 def test_impurity_curve_is_the_traced_curve_through_it(
@@ -246,21 +273,35 @@ def test_impurity_curve_is_the_traced_curve_through_it(
             assert impurity_curve(m, e) == c
 
 
-def _patch_arcs(monkeypatch, arcs):
-    monkeypatch.setattr(slits, "_arc_ends", lambda m: iter(arcs))
+def _with_arcs(monkeypatch, diamond, arcs):
+    """The diamond's covering on a fresh copy of its graph, under a fake
+    arc rule that gives the first black the arcs and every other black
+    none: the fresh graph's segment table is empty, so the real joins
+    and tracer run on the fake arcs."""
+    g = build_normal_graph(diamond.graph.vertices)
+    owner = g.blacks[0]
+    monkeypatch.setattr(slits, "_black_arcs",
+                        lambda vs, b, w: arcs if b == owner else [])
+    return validate_covering(g, diamond.dimers)
 
 
 def test_crossing_and_loop_sentinels(monkeypatch, diamond):
-    # no covering reaches either error; a fake arc generator must
-    _patch_arcs(monkeypatch, [((1, 1), (2, 1)), ((3, 1), (2, 1)),
-                              ((3, 3), (2, 1))])
-    with pytest.raises(SlitCrossingError, match="degree 3"):
-        slit_curves(diamond)
+    # no covering reaches either error; fake arcs must.  Three arcs at a
+    # unit point raise where the black's entry is built, three segments
+    # from a diagonal point where the tracer keys them
+    m = _with_arcs(monkeypatch, diamond, [((1, 1), (2, 1)), ((3, 1), (2, 1)),
+                                          ((3, 3), (2, 1))])
+    with pytest.raises(SlitCrossingError, match=r"\(2, 1\) has degree 3"):
+        slit_curves(m)
+    m = _with_arcs(monkeypatch, diamond, [((1, 1), (1, 2)), ((1, 1), (2, 1)),
+                                          ((1, 1), (0, 1))])
+    with pytest.raises(SlitCrossingError, match=r"\(1, 1\) has degree 3"):
+        slit_curves(m)
     loop = [((1, 1), (1, 2)), ((3, 3), (1, 2)),
             ((3, 3), (2, 1)), ((1, 1), (2, 1))]
-    _patch_arcs(monkeypatch, loop + [((5, 5), (5, 6))])
+    m = _with_arcs(monkeypatch, diamond, loop + [((5, 5), (5, 6))])
     with pytest.raises(SlitLoopError, match="^4 arcs form closed loops$"):
-        slit_curves(diamond)
+        slit_curves(m)
 
 
 def test_impurity_walk_loop_sentinel(monkeypatch, diamond):
@@ -275,22 +316,22 @@ def test_impurity_walk_loop_sentinel(monkeypatch, diamond):
         if c not in ring:
             return black_arcs(vs, b, w)
         i = ring.index(c)
-        return [p for k in ((i - 1) % 4, (i + 1) % 4)
-                for p in (_doubled_mid(c, ring[k]), _doubled_mid(c, b))]
+        return [(_doubled_mid(c, ring[k]), _doubled_mid(c, b))
+                for k in ((i - 1) % 4, (i + 1) % 4)]
 
-    # the walk reads one black's arcs a step; a walk that missed the
-    # loop would fail here rather than run forever
-    arcs_at = slits._arcs_at
+    # the walk reads one black's segments a step; a walk that missed
+    # the loop would fail here rather than run forever
+    segments_at = slits._segments_at
     steps = []
 
     def counted(*args):
         steps.append(args)
         if len(steps) > 100:
             raise AssertionError("the walk did not stop on the loop")
-        return arcs_at(*args)
+        return segments_at(*args)
 
     monkeypatch.setattr(slits, "_black_arcs", around_c)
-    monkeypatch.setattr(slits, "_arcs_at", counted)
+    monkeypatch.setattr(slits, "_segments_at", counted)
     # a fresh graph, so its arc table is empty and filled by the fake
     g = build_normal_graph(diamond.graph.vertices)
     m = validate_covering(g, diamond.dimers)
@@ -359,6 +400,43 @@ def test_diamond_enclosed_trees(diamond):
     for e in (((3, 3), (4, 2)), ((4, -4), (5, -3))):
         with pytest.raises(StructureError):
             enclosed_dual_tree(impurity_curve(diamond, e), fp)
+
+
+def unfiltered_enclosed_tree(c, fp):
+    """The dual tree whose whites are z and every odd white the curve
+    closed through z encloses, each tested by the even-odd rule, with no
+    bounding-box filter; None when the curve does not end on two
+    diagonals sharing an odd white z, or no tree has those whites."""
+    if not all(p[0] % 2 and p[1] % 2 for p in c.endpoints):
+        return None
+    d0, d1 = map(slits._diagonal_of, c.endpoints)
+    shared = set(d0) & set(d1)
+    if len(shared) != 1:
+        return None
+    (z,) = shared
+    if z[0] % 2 == 0:
+        return None
+    polygon = list(c.points) + [(2 * z[0], 2 * z[1])]
+    sides = list(zip(polygon, polygon[1:] + polygon[:1]))
+    sites = {z} | {w for t in fp.dual for w in t.vertices
+                   if w != z and slits._inside((2 * w[0], 2 * w[1]), sides)}
+    return next((t for t in fp.dual if t.vertices == sites), None)
+
+
+def test_enclosed_tree_matches_the_unfiltered_test(
+        diamond, ell_coverings, strip_coverings, square8_samples):
+    # the bounding-box filter drops only whites outside the curve
+    for m in [*enumerate_coverings(diamond.graph), *ell_coverings,
+              *strip_coverings, *square8_samples]:
+        fp = forests(m)
+        for e in impurities(m):
+            c = impurity_curve(m, e)
+            want = unfiltered_enclosed_tree(c, fp)
+            if want is None:
+                with pytest.raises(StructureError):
+                    enclosed_dual_tree(c, fp)
+            else:
+                assert enclosed_dual_tree(c, fp) == want
 
 
 def test_impurity_curve_requires_impurity(diamond):
