@@ -53,10 +53,8 @@ class _Frame(NamedTuple):
         return self.at((2 * v[0], 2 * v[1]))
 
 
-def _line(px, u, v, style):
-    (x1, y1), (x2, y2) = px[u], px[v]
-    return '<line x1="%d" y1="%d" x2="%d" y2="%d" %s/>' % (
-        x1, y1, x2, y2, style)
+# a line from pixel (x1, y1) to (x2, y2) in a style
+LINE = '<line x1="%d" y1="%d" x2="%d" y2="%d" %s/>'
 
 
 class _Static(NamedTuple):
@@ -96,30 +94,49 @@ def _static(g):
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             'viewBox="0 0 %d %d">' % (frame.width, frame.height),
-            "\n".join(_line(px, u, v, EDGE_STYLE) for u, v in g.edges),
+            "\n".join([LINE % (*px[u], *px[v], EDGE_STYLE)
+                       for u, v in g.edges]),
             "\n".join(circles),
             px)
     return static
 
 
-class _Formatted(dict):
-    """key -> its fragment, formatted by fmt on first use."""
+class _Lines(dict):
+    """edge -> its line in one layer, formatted on first use: in style,
+    or in diagonal_style if the edge is diagonal."""
 
-    __slots__ = ("fmt",)
+    __slots__ = ("px", "style", "diagonal_style")
 
-    def __init__(self, fmt):
-        self.fmt = fmt
+    def __init__(self, px, style, diagonal_style):
+        self.px = px
+        self.style = style
+        self.diagonal_style = diagonal_style
 
-    def __missing__(self, key):
-        value = self[key] = self.fmt(key)
-        return value
+    def __missing__(self, e):
+        px = self.px
+        style = self.diagonal_style if is_diagonal_edge(e) else self.style
+        line = self[e] = LINE % (*px[e[0]], *px[e[1]], style)
+        return line
+
+
+class _Points(dict):
+    """doubled curve point -> its "x,y", formatted on first use."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at):
+        self.at = at
+
+    def __missing__(self, p):
+        xy = self[p] = "%d,%d" % self.at(p)
+        return xy
 
 
 class _Fragments(NamedTuple):
-    dimers: _Formatted   # edge -> its line as a dimer or the impurity
-    primary: _Formatted  # edge -> its line in a primary tree
-    dual: _Formatted     # edge -> its line in a dual tree
-    points: _Formatted   # doubled curve point -> its "x,y"
+    dimers: _Lines      # a dimer, or the impurity if diagonal
+    primary: _Lines     # an edge of a primary tree
+    dual: _Lines        # an edge of a dual tree
+    points: _Points
 
 
 # graph -> its _Fragments
@@ -134,17 +151,12 @@ def _fragments(g, static):
     what any later render of g would format."""
     fragments = _FRAGMENTS.get(g)
     if fragments is None:
-        px, at = static.px, static.frame.at
-
-        def lines(style_of):
-            return _Formatted(lambda e: _line(px, e[0], e[1], style_of(e)))
-
+        px = static.px
         fragments = _FRAGMENTS[g] = _Fragments(
-            lines(lambda e: IMPURITY_STYLE if is_diagonal_edge(e)
-                  else DIMER_STYLE),
-            lines(lambda e: PRIMARY_STYLE),
-            lines(lambda e: DUAL_STYLE),
-            _Formatted(lambda p: "%d,%d" % at(p)))
+            _Lines(px, DIMER_STYLE, IMPURITY_STYLE),
+            _Lines(px, PRIMARY_STYLE, PRIMARY_STYLE),
+            _Lines(px, DUAL_STYLE, DUAL_STYLE),
+            _Points(static.frame.at))
     return fragments
 
 

@@ -331,9 +331,10 @@ def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
         p = start
         half = []
         while b in vs:
-            s = next((s for s in _segments_at(table, vs, b, mate[b])
-                      if s[0] == p), None)
-            if s is None:
+            for s in _segments_at(table, vs, b, mate[b]):
+                if s[0] == p:
+                    break
+            else:               # b has no segment from p
                 break
             half.append(s[1])
             if len(s) == 2:

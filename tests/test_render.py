@@ -76,7 +76,7 @@ def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
     assert render._FRAGMENTS[ell.g] is fragments
     for layer, old in zip(fragments, before):
         assert all(layer[key] is value for key, value in old.items())
-        assert all(type(value) is str and value == layer.fmt(key)
+        assert all(type(value) is str and value == layer.__missing__(key)
                    for key, value in layer.items())
 
 

@@ -332,7 +332,7 @@ def test_impurity_walk_loop_sentinel(monkeypatch, diamond):
 
     monkeypatch.setattr(slits, "_black_arcs", around_c)
     monkeypatch.setattr(slits, "_segments_at", counted)
-    # a fresh graph, so its arc table is empty and filled by the fake
+    # a fresh graph, so its segment table is empty and filled by the fake
     g = build_normal_graph(diamond.graph.vertices)
     m = validate_covering(g, diamond.dimers)
     with pytest.raises(SlitLoopError, match="closes on itself"):
