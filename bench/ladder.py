@@ -11,10 +11,10 @@ covering, on strips n = 1..8, the L-region and k x k squares (faces
 (2i+1, 2j+1), f* = (2k+1, 1), v* = (2k, 2)), each the median of five
 calls after one untimed call of the chain, t_class and pi, so the
 per-graph site table, the walk's edge masks and N are built.  It also
-times slits.slit_curves and render.render_covering with curves and
-forests cold: on the initial covering of a graph built just before each
-call, so the per-graph segment and fragment tables start empty, as in
-a one-shot `render` command.  On
+times slits.slit_curves, slits.forests and render.render_covering with
+curves and forests cold: on the initial covering of a graph built just
+before each call, so the per-graph segment, link and fragment tables
+start empty, as in a one-shot `render` command.  On
 every region it times the whole `prob` command in process, stdout
 captured, on a region file, and on each square the whole `sample`
 command (seed 1, 20 000 steps, every 100th state), which builds the
@@ -29,7 +29,8 @@ a_0 = 1, a_{-1} = 0; on every region the counts N = |det A| p from
 solve_p satisfy A N = |det A| b, with A and b rebuilt from the dual
 graph, not from the system under test; on each square det A equals
 square_det, computed without the library's elimination; the forest
-pair splits G's whites into trees; the slit-curves of both coverings
+pair, from the warm call and from the last cold one, splits G's whites
+into trees; the slit-curves of both coverings
 use every arc, one per (black, corner with both whites in G) pair
 counted from G alone, and each impurity's diagonal midpoint lies on
 exactly one of them, the one slits.impurity_curve returns; the t-class
@@ -190,14 +191,15 @@ def curves_ok(m, curves):
 
 def cold_time(region, fn, repeats):
     """Median time of fn on the initial covering of a graph built just
-    before the call, so no per-graph table is filled yet."""
+    before the call, so no per-graph table is filled yet, and the last
+    call's result."""
     times = []
     for _ in range(repeats):
         m = initial_covering(build_region(region))
         start = time.perf_counter()
-        fn(m)
+        result = fn(m)
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times), result
 
 
 def render_all(m):
@@ -271,10 +273,14 @@ def measure(name, region, repeats, workdir):
     e, = impurities(final)
     t_imp_curve, _ = median_time(lambda: impurity_curve(final, e), repeats)
     t_render, _ = median_time(lambda: render_all(final), repeats)
+    t_curves_cold, _ = cold_time(region, slit_curves, repeats)
+    t_forests_cold, cold_fp = cold_time(region, forests, repeats)
+    t_render_cold, _ = cold_time(region, render_all, repeats)
     record = {"name": name, "faces": len(region.faces),
               "det_bits": det.bit_length(), "det": str(det),
               "total": str(total), "residual_ok": residual_ok(tri),
-              "forests_span": forests_span(fp, tri.g),
+              "forests_span": (forests_span(fp, tri.g)
+                               and forests_span(cold_fp, tri.g)),
               "curves_ok": (curves_ok(m, curves)
                             and curves_ok(final, final_curves)),
               "chain_steps_per_s": CHAIN.steps / t_chain,
@@ -291,10 +297,9 @@ def measure(name, region, repeats, workdir):
                           "t_class": t_t_class, "pi_final": t_pi,
                           "impurity_curve_final": t_imp_curve,
                           "render_final": t_render,
-                          "slit_curves_cold": cold_time(region, slit_curves,
-                                                        repeats),
-                          "render_cold": cold_time(region, render_all,
-                                                   repeats)}}
+                          "slit_curves_cold": t_curves_cold,
+                          "forests_cold": t_forests_cold,
+                          "render_cold": t_render_cold}}
     path = os.path.join(workdir, name + ".json")
     with open(path, "w") as f:
         json.dump({"faces": [list(v) for v in region.faces],

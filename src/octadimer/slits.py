@@ -237,21 +237,42 @@ def slit_curves(m: DimerCovering):
     return frozenset(curves)
 
 
-# graph -> its first diagonal with no flanking black in it, or None
-_RESIDUAL = weakref.WeakKeyDictionary()
+# graph -> (its link table, its first diagonal with no flanking black in
+# it or None), filled on first use
+_LINKS = weakref.WeakKeyDictionary()
 
 
-def _residual_diagonal(g):
-    """The first diagonal of g that no slit-curve crosses, or None.
+def _link_table(g):
+    """g's links and its residual diagonal, found once per graph object.
 
-    It depends on g alone, so it is found once per graph object.
+    The links map each white w to a list of (b, o, e, horizontal): b a
+    black neighbour of w whose opposite white o = 2b - w is in g, e the
+    tree edge {w, o} and horizontal whether the line w-b-o is.  One pass
+    over the blacks adds each line through a black with both ends in g
+    to both ends.  The residual diagonal is the first diagonal of g that
+    no slit-curve crosses.
     """
-    if g not in _RESIDUAL:
-        _RESIDUAL[g] = next(
-            (e for e in diagonal_edges(g)
-             if not any(b in g.vertex_set for b in flanking_blacks(e))),
-            None)
-    return _RESIDUAL[g]
+    entry = _LINKS.get(g)
+    if entry is None:
+        vs = g.vertex_set
+        links = {w: [] for w in g.whites}
+        for b in g.blacks:
+            x, y = b
+            # u < o on each line, so (u, o) is the canonical edge
+            u, o = (x - 1, y), (x + 1, y)
+            if u in vs and o in vs:
+                e = (u, o)
+                links[u].append((b, o, e, True))
+                links[o].append((b, u, e, True))
+            u, o = (x, y - 1), (x, y + 1)
+            if u in vs and o in vs:
+                e = (u, o)
+                links[u].append((b, o, e, False))
+                links[o].append((b, u, e, False))
+        residual = next((e for e in diagonal_edges(g)
+                         if vs.isdisjoint(flanking_blacks(e))), None)
+        entry = _LINKS[g] = (links, residual)
+    return entry
 
 
 def forests(m: DimerCovering) -> ForestPair:
@@ -259,29 +280,24 @@ def forests(m: DimerCovering) -> ForestPair:
 
     Each black b whose opposite white is in G gives the tree edge
     {mate(b), opposite white}: the path through b that the cut along
-    the slit-curves leaves.  One pass per component collects its whites
-    and its edges, and a component with more edges than a tree raises
-    CycleDetectedError.  A diagonal with no flanking black in G is
-    crossed by no curve and raises ResidualDiagonalError.
+    the slit-curves leaves.  So a link (b, o, e, horizontal) of the
+    graph's link table is a tree edge exactly when b's dimer lies along
+    its line.  One pass per component collects its whites and its
+    edges off the table, and a component with more edges than a tree
+    raises CycleDetectedError.  The whites are walked in sorted order,
+    so each component is first reached at its least white and the trees
+    come out in Tree.sort_key order.  A diagonal with no flanking black
+    in G is crossed by no curve and raises ResidualDiagonalError.
     """
     g = m.graph
-    e = _residual_diagonal(g)
+    links, e = _link_table(g)
     if e is not None:
         raise ResidualDiagonalError(
             "diagonal edge %r is missed by every slit-curve" % (e,))
 
-    mate = m._mate
-    adjacency = {w: [] for w in g.whites}
-    for b in g.blacks:
-        w = mate[b]
-        opposite = (2 * b[0] - w[0], 2 * b[1] - w[1])
-        if opposite in adjacency:
-            e = edge(w, opposite)
-            adjacency[w].append((opposite, e))
-            adjacency[opposite].append((w, e))
-
     # one pass per component: its vertices, the edges that first reach
     # them, and the sum of its degrees, which is twice its edge count
+    mate = m._mate
     primary, dual = [], []
     seen = set()
     for w in g.whites:
@@ -292,20 +308,19 @@ def forests(m: DimerCovering) -> ForestPair:
         es = []
         degrees = 0
         for u in vs:            # vs grows as the component is found
-            nbrs = adjacency[u]
-            degrees += len(nbrs)
-            for v, e in nbrs:
-                if v not in seen:
-                    seen.add(v)
-                    vs.append(v)
-                    es.append(e)
+            for b, o, e, horizontal in links[u]:
+                if (mate[b][1] == b[1]) == horizontal:
+                    degrees += 1
+                    if o not in seen:
+                        seen.add(o)
+                        vs.append(o)
+                        es.append(e)
         if degrees != 2 * len(es):
             raise CycleDetectedError(
                 "the contracted forest has a cycle through %r" % (w,))
         (primary if w[0] % 2 == 0 else dual).append(
             Tree(frozenset(vs), frozenset(es)))
-    return ForestPair(tuple(sorted(primary, key=Tree.sort_key)),
-                      tuple(sorted(dual, key=Tree.sort_key)))
+    return ForestPair(tuple(primary), tuple(dual))
 
 
 def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:

@@ -81,7 +81,8 @@ def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
 
 
 def test_a_collected_graph_leaves_no_cache_entry():
-    tables = (slits._SEGMENTS, render._STATIC, render._FRAGMENTS)
+    tables = (slits._SEGMENTS, slits._LINKS, render._STATIC,
+              render._FRAGMENTS)
     before = [len(t) for t in tables]
     m = initial_covering(build_region(ell_region()))
     render_covering(m, show_slits=True, show_forests=True)

@@ -10,7 +10,9 @@ crossed edge, every curve, both forests, and the enclosed tree of each
 of the four impurity curves.  Arc objects and the arc-by-arc chainer
 below are the reference the segment tracer of slits.slit_curves is
 compared against, and that tracer is the reference for the one-curve
-walk of slits.impurity_curve.
+walk of slits.impurity_curve.  reference_forests, which builds a white
+-> list adjacency from the dimers on every call and sorts the trees, is
+the reference for the link-table walk of slits.forests.
 """
 
 from dataclasses import dataclass
@@ -21,19 +23,19 @@ from octadimer import slits
 from octadimer.covering import (DimerCovering, impurities,
                                 validate_covering)
 from octadimer.lattice import (build_normal_graph, build_region, edge,
-                               reach, strip_region)
+                               flanking_blacks, reach, strip_region)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
 from octadimer.sampler import ChainConfig, run
-from octadimer.slits import (CycleDetectedError, NoCurveError,
+from octadimer.slits import (CycleDetectedError, ForestPair, NoCurveError,
                              ResidualDiagonalError, SlitCrossingError,
-                             SlitCurve, SlitLoopError, StructureError,
+                             SlitCurve, SlitLoopError, StructureError, Tree,
                              enclosed_dual_tree, forests, impurity_curve,
                              slit_curves)
 from octadimer.temperley import initial_covering
 
 from conftest import unit_square_graph
-from test_kirchhoff import square_region
+from test_kirchhoff import polyomino_region, square_region
 from test_lattice import is_unit_edge, is_white
 
 CCW = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -127,6 +129,50 @@ def table_items(m):
     table = slits._segment_table(g)
     return [(b, s) for b in g.blacks
             for s in slits._segments_at(table, g.vertex_set, b, m.mate(b))]
+
+
+def reference_forests(m):
+    """The forest pair of m from a white -> list adjacency built from
+    its dimers, one pass per component, trees sorted by least white."""
+    g = m.graph
+    e = next((e for e in g.diagonals
+              if not any(b in g.vertex_set for b in flanking_blacks(e))),
+             None)
+    if e is not None:
+        raise ResidualDiagonalError(
+            "diagonal edge %r is missed by every slit-curve" % (e,))
+    mate = m._mate
+    adjacency = {w: [] for w in g.whites}
+    for b in g.blacks:
+        w = mate[b]
+        opposite = (2 * b[0] - w[0], 2 * b[1] - w[1])
+        if opposite in adjacency:
+            e = edge(w, opposite)
+            adjacency[w].append((opposite, e))
+            adjacency[opposite].append((w, e))
+    primary, dual = [], []
+    seen = set()
+    for w in g.whites:
+        if w in seen:
+            continue
+        seen.add(w)
+        vs = [w]
+        es = []
+        degrees = 0
+        for u in vs:
+            degrees += len(adjacency[u])
+            for v, e in adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    vs.append(v)
+                    es.append(e)
+        if degrees != 2 * len(es):
+            raise CycleDetectedError(
+                "the contracted forest has a cycle through %r" % (w,))
+        (primary if w[0] % 2 == 0 else dual).append(
+            Tree(frozenset(vs), frozenset(es)))
+    return ForestPair(tuple(sorted(primary, key=Tree.sort_key)),
+                      tuple(sorted(dual, key=Tree.sort_key)))
 
 
 def crossed_unit_edges(m):
@@ -486,6 +532,27 @@ def test_forests_match_the_cut(ell_coverings, square8_samples):
             assert len(t.edges) == len(t.vertices) - 1
             assert all(u in t.vertices and v in t.vertices
                        for u, v in t.edges)
+
+
+def test_forests_match_reference(diamond, ell_coverings, strip_coverings,
+                                 square8_samples):
+    # ForestPair equality includes the order of the trees; each graph's
+    # first call fills its link table, the later ones read it
+    strip1 = enumerate_coverings(build_region(strip_region(1)).g)
+    poly = enumerate_coverings(build_region(polyomino_region(5, 5)).g)
+    for m in [diamond, *ell_coverings, *strip1, *strip_coverings, *poly,
+              *square8_samples]:
+        assert forests(m) == reference_forests(m)
+
+
+def test_trees_come_in_ascending_least_white_order(ell_coverings,
+                                                   square8_samples):
+    for m in [*ell_coverings, *square8_samples]:
+        fp = forests(m)
+        for trees in (fp.primary, fp.dual):
+            least = [min(t.vertices) for t in trees]
+            assert least == sorted(least)
+            assert len(set(least)) == len(least)
 
 
 def test_t_move_preserves_curves(ell, ell_coverings):
