@@ -148,6 +148,28 @@ class NormalGraph:
             len(self.vertices), len(self.edges))
 
 
+def per_graph(build):
+    """Decorate build(g) so that it runs once per graph object.
+
+    The result is kept in g's own instance dict, beside g's cached
+    properties, under build's module-qualified name, whose dots keep it
+    apart from every attribute; so it lives exactly as long as g.
+    """
+    key = "%s.%s" % (build.__module__, build.__qualname__)
+
+    @functools.wraps(build)
+    def get(g):
+        tables = g.__dict__
+        try:
+            return tables[key]
+        except KeyError:
+            pass
+        table = tables[key] = build(g)
+        return table
+
+    return get
+
+
 def induced_edges(vertex_set) -> list[Edge]:
     """The edges of Gamma between vertices of vertex_set, in sorted order.
 

@@ -30,14 +30,13 @@ read after requiring each key to be a supplied covering's.  t_class
 builds each member from the member it was reached from.
 """
 
-import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .covering import (DimerCovering, ForeignEdgeError, check_covering,
                        impurities, validate_covering)
-from .lattice import InvalidInputError, Vertex, edge
+from .lattice import InvalidInputError, Vertex, edge, per_graph
 
 
 class InapplicableMoveError(InvalidInputError):
@@ -66,25 +65,14 @@ class LocalMove:
         return (self.kind, tuple(sorted(self.removes)))
 
 
-def _own_vertices(g):
-    """coordinate -> g's vertex object, so that a stored site list holds
-    references to the graph's tuples rather than copies of them."""
-    return {v: v for v in g.vertices}
-
-
 def unit_squares(g):
-    """All unit squares of g as (bl, br, tr, tl) corner tuples.
-
-    Corners are g's own vertex objects (see _own_vertices).
-    """
-    own = _own_vertices(g)
+    """All unit squares of g as (bl, br, tr, tl) corner tuples."""
+    vs = g.vertex_set
     out = []
     for bl in g.vertices:
         x, y = bl
-        br = own.get((x + 1, y))
-        tr = own.get((x + 1, y + 1))
-        tl = own.get((x, y + 1))
-        if br and tr and tl:
+        br, tr, tl = (x + 1, y), (x + 1, y + 1), (x, y + 1)
+        if br in vs and tr in vs and tl in vs:
             out.append((bl, br, tr, tl))
     return out
 
@@ -94,17 +82,17 @@ def t_sites(g):
 
     d is black, b a white unit neighbor of d, and a, c the two unit
     neighbors of d perpendicular to b; {a,b} and {b,c} are then the
-    diagonal edges of the site.  Vertices are g's own objects.
+    diagonal edges of the site.
     """
-    own = _own_vertices(g)
+    vs = g.vertex_set
     out = []
     for d in g.blacks:
         x, y = d
         for ux, uy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            b = own.get((x + ux, y + uy))
-            a = own.get((x - uy, y + ux))
-            c = own.get((x + uy, y - ux))
-            if a and b and c:
+            b = (x + ux, y + uy)
+            a = (x - uy, y + ux)
+            c = (x + uy, y - ux)
+            if a in vs and b in vs and c in vs:
                 if c < a:
                     a, c = c, a
                 out.append((a, b, c, d))
@@ -141,23 +129,16 @@ class SiteTable(NamedTuple):
         return tuple([own[vs[v], vs[w]] for v, w in enumerate(mate) if v < w])
 
 
-# graph -> its SiteTable
-_TABLES = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def site_table(g) -> SiteTable:
     """The SiteTable of g, built once per graph object."""
-    table = _TABLES.get(g)
-    if table is None:
-        vertices = g.vertices
-        index = {v: i for i, v in enumerate(vertices)}
-        sites = [("s", index[a], index[b], index[c], index[d])
-                 for a, b, c, d in unit_squares(g)]
-        sites += [("t", index[a], index[b], index[c], index[d])
-                  for a, b, c, d in t_sites(g)]
-        sites = tuple(sites)
-        table = _TABLES[g] = SiteTable(vertices, index, sites, g.own_edges)
-    return table
+    vertices = g.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    sites = [("s", index[a], index[b], index[c], index[d])
+             for a, b, c, d in unit_squares(g)]
+    sites += [("t", index[a], index[b], index[c], index[d])
+              for a, b, c, d in t_sites(g)]
+    return SiteTable(vertices, index, tuple(sites), g.own_edges)
 
 
 def proposal_sites(g):
@@ -219,11 +200,7 @@ def _moved(m: DimerCovering, a, b, c, d) -> DimerCovering:
     return DimerCovering(m.graph, tuple(dimers), mate)
 
 
-# graph -> (edge -> bit, (site, mask) per indexed site,
-#           {index diagonal: the (site, mask) pairs of its t-sites})
-_KEYED = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _keyed_sites(g):
     """The bit 1 << i of edge i of g.edges, and the sites with masks.
 
@@ -233,27 +210,25 @@ def _keyed_sites(g):
     site_table(g), over vertex indices, and each t-site is also listed
     under its two diagonals {a,b} and {b,c} as index edges: it supports
     a move only while one of them is a dimer, so a covering's t-moves
-    are all at the sites listed under its impurities.  Built once per
-    graph object, for the walks: the masks of a large graph are large
-    ints.
+    are all at the sites listed under its impurities.  Returns (edge ->
+    bit, the (site, mask) pairs, {index diagonal: the pairs of its
+    t-sites}), built once per graph object, for the walks: the masks of
+    a large graph are large ints.
     """
-    keyed = _KEYED.get(g)
-    if keyed is None:
-        table = site_table(g)
-        vs = table.vertices
-        bits = {e: 1 << i for i, e in enumerate(g.edges)}
-        pairs = []
-        t_index = {}
-        for site in table.sites:
-            kind, a, b, c, d = site
-            pair = (site, bits[edge(vs[a], vs[b])] ^ bits[edge(vs[b], vs[c])]
-                    ^ bits[edge(vs[c], vs[d])] ^ bits[edge(vs[d], vs[a])])
-            pairs.append(pair)
-            if kind == "t":
-                t_index.setdefault(edge(a, b), []).append(pair)
-                t_index.setdefault(edge(b, c), []).append(pair)
-        keyed = _KEYED[g] = (bits, tuple(pairs), t_index)
-    return keyed
+    table = site_table(g)
+    vs = table.vertices
+    bits = {e: 1 << i for i, e in enumerate(g.edges)}
+    pairs = []
+    t_index = {}
+    for site in table.sites:
+        kind, a, b, c, d = site
+        pair = (site, bits[edge(vs[a], vs[b])] ^ bits[edge(vs[b], vs[c])]
+                ^ bits[edge(vs[c], vs[d])] ^ bits[edge(vs[d], vs[a])])
+        pairs.append(pair)
+        if kind == "t":
+            t_index.setdefault(edge(a, b), []).append(pair)
+            t_index.setdefault(edge(b, c), []).append(pair)
+    return bits, tuple(pairs), t_index
 
 
 def _key(bits, m: DimerCovering) -> int:

@@ -9,12 +9,11 @@ the pictures are for.  Primary forest trees are solid, dual trees
 dashed, matching the usual figure convention.
 """
 
-import weakref
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .covering import DimerCovering
-from .lattice import is_diagonal_edge
+from .lattice import is_diagonal_edge, per_graph
 from .slits import forests, slit_curves
 
 PX = 20          # pixels per half lattice unit
@@ -65,40 +64,34 @@ class _Static(NamedTuple):
     px: MappingProxyType  # vertex -> its pixel coordinates
 
 
-# graph -> its _Static layers
-_STATIC = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _static(g):
     """The parts of g's picture that no covering changes, made once per
     graph object: each layer is already joined, so a render adds only
     the dimers, forests and curves, joined from g's fragments.  Every
     part is immutable, so no render can change what the next one
     reads."""
-    static = _STATIC.get(g)
-    if static is None:
-        frame = _Frame.of(g.vertices)
-        px = MappingProxyType({v: frame.vertex(v) for v in g.vertices})
-        circles = []
-        for v in g.vertices:
-            x, y = px[v]
-            if (v[0] + v[1]) % 2:
-                circles.append(
-                    '<circle cx="%d" cy="%d" r="5" fill="#000000"/>' % (x, y))
-            else:
-                circles.append(
-                    '<circle cx="%d" cy="%d" r="6" fill="#ffffff" '
-                    'stroke="#000000" stroke-width="2"/>' % (x, y))
-        static = _STATIC[g] = _Static(
-            frame,
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            'viewBox="0 0 %d %d">' % (frame.width, frame.height),
-            "\n".join([LINE % (*px[u], *px[v], EDGE_STYLE)
-                       for u, v in g.edges]),
-            "\n".join(circles),
-            px)
-    return static
+    frame = _Frame.of(g.vertices)
+    px = MappingProxyType({v: frame.vertex(v) for v in g.vertices})
+    circles = []
+    for v in g.vertices:
+        x, y = px[v]
+        if (v[0] + v[1]) % 2:
+            circles.append(
+                '<circle cx="%d" cy="%d" r="5" fill="#000000"/>' % (x, y))
+        else:
+            circles.append(
+                '<circle cx="%d" cy="%d" r="6" fill="#ffffff" '
+                'stroke="#000000" stroke-width="2"/>' % (x, y))
+    return _Static(
+        frame,
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'viewBox="0 0 %d %d">' % (frame.width, frame.height),
+        "\n".join([LINE % (*px[u], *px[v], EDGE_STYLE)
+                   for u, v in g.edges]),
+        "\n".join(circles),
+        px)
 
 
 class _Lines(dict):
@@ -139,25 +132,20 @@ class _Fragments(NamedTuple):
     points: _Points
 
 
-# graph -> its _Fragments
-_FRAGMENTS = weakref.WeakKeyDictionary()
-
-
-def _fragments(g, static):
+@per_graph
+def _fragments(g):
     """g's table of the fragments a covering's layers are joined from,
     one per graph object, each fragment formatted when a render first
     needs it.  A fragment is a string that depends only on g, its edge
     or point and its layer, so what one render adds to the table is
     what any later render of g would format."""
-    fragments = _FRAGMENTS.get(g)
-    if fragments is None:
-        px = static.px
-        fragments = _FRAGMENTS[g] = _Fragments(
-            _Lines(px, DIMER_STYLE, IMPURITY_STYLE),
-            _Lines(px, PRIMARY_STYLE, PRIMARY_STYLE),
-            _Lines(px, DUAL_STYLE, DUAL_STYLE),
-            _Points(static.frame.at))
-    return fragments
+    static = _static(g)
+    px = static.px
+    return _Fragments(
+        _Lines(px, DIMER_STYLE, IMPURITY_STYLE),
+        _Lines(px, PRIMARY_STYLE, PRIMARY_STYLE),
+        _Lines(px, DUAL_STYLE, DUAL_STYLE),
+        _Points(static.frame.at))
 
 
 def render_covering(m: DimerCovering, show_slits=False,
@@ -170,7 +158,7 @@ def render_covering(m: DimerCovering, show_slits=False,
     """
     g = m.graph
     static = _static(g)
-    fragments = _fragments(g, static)
+    fragments = _fragments(g)
     parts = [static.head, static.edges]
     parts += map(fragments.dimers.__getitem__, m.dimers)
     if show_forests:

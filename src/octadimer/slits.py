@@ -27,12 +27,11 @@ and matchings", 2000).  The primary forest lies on the even
 sublattice, the dual forest on the odd one.
 """
 
-import weakref
 from dataclasses import dataclass
 
 from .covering import DimerCovering
 from .lattice import (Edge, Vertex, _edge_arg, diagonal_edges, edge,
-                      flanking_blacks, is_diagonal_edge)
+                      flanking_blacks, is_diagonal_edge, per_graph)
 
 
 class StructureError(RuntimeError):
@@ -96,12 +95,6 @@ class ForestPair:
     dual: tuple     # trees on W1
 
 
-# graph -> ({black: its segments} for blacks whose dimer is vertical, the
-# same for horizontal dimers), one entry filled per black and
-# orientation on first use
-_SEGMENTS = weakref.WeakKeyDictionary()
-
-
 def _black_arcs(vs, b, w):
     """The quarter arcs at black b whose dimer sits at w, as
     (diag_point, unit_point) pairs; vs is the vertex set of b's graph."""
@@ -146,8 +139,10 @@ def _black_segments(vs, b, w):
     return tuple(segments)
 
 
+@per_graph
 def _segment_table(g):
-    """g's table of black segments.
+    """g's table of black segments: {black: its segments} for blacks
+    whose dimer is vertical, and the same for horizontal dimers.
 
     A black's arcs depend on g and on j mod 2 alone, j the ring index
     of its mate: on whether its dimer is horizontal.  So its segments
@@ -155,10 +150,7 @@ def _segment_table(g):
     when a covering first needs them, so a fresh graph's first call
     joins no arcs it does not use.
     """
-    table = _SEGMENTS.get(g)
-    if table is None:
-        table = _SEGMENTS[g] = ({}, {})
-    return table
+    return ({}, {})
 
 
 def _segments_at(table, vs, b, w):
@@ -237,11 +229,7 @@ def slit_curves(m: DimerCovering):
     return frozenset(curves)
 
 
-# graph -> (its link table, its first diagonal with no flanking black in
-# it or None), filled on first use
-_LINKS = weakref.WeakKeyDictionary()
-
-
+@per_graph
 def _link_table(g):
     """g's links and its residual diagonal, found once per graph object.
 
@@ -250,29 +238,26 @@ def _link_table(g):
     tree edge {w, o} and horizontal whether the line w-b-o is.  One pass
     over the blacks adds each line through a black with both ends in g
     to both ends.  The residual diagonal is the first diagonal of g that
-    no slit-curve crosses.
+    no slit-curve crosses, or None.
     """
-    entry = _LINKS.get(g)
-    if entry is None:
-        vs = g.vertex_set
-        links = {w: [] for w in g.whites}
-        for b in g.blacks:
-            x, y = b
-            # u < o on each line, so (u, o) is the canonical edge
-            u, o = (x - 1, y), (x + 1, y)
-            if u in vs and o in vs:
-                e = (u, o)
-                links[u].append((b, o, e, True))
-                links[o].append((b, u, e, True))
-            u, o = (x, y - 1), (x, y + 1)
-            if u in vs and o in vs:
-                e = (u, o)
-                links[u].append((b, o, e, False))
-                links[o].append((b, u, e, False))
-        residual = next((e for e in diagonal_edges(g)
-                         if vs.isdisjoint(flanking_blacks(e))), None)
-        entry = _LINKS[g] = (links, residual)
-    return entry
+    vs = g.vertex_set
+    links = {w: [] for w in g.whites}
+    for b in g.blacks:
+        x, y = b
+        # u < o on each line, so (u, o) is the canonical edge
+        u, o = (x - 1, y), (x + 1, y)
+        if u in vs and o in vs:
+            e = (u, o)
+            links[u].append((b, o, e, True))
+            links[o].append((b, u, e, True))
+        u, o = (x, y - 1), (x, y + 1)
+        if u in vs and o in vs:
+            e = (u, o)
+            links[u].append((b, o, e, False))
+            links[o].append((b, u, e, False))
+    residual = next((e for e in diagonal_edges(g)
+                     if vs.isdisjoint(flanking_blacks(e))), None)
+    return links, residual
 
 
 def forests(m: DimerCovering) -> ForestPair:

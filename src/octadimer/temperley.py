@@ -62,7 +62,8 @@ def _bfs_up(root, adjacency, sort=False):
     # Breadth-first parent map.  A tree has one orientation toward its
     # root, so only a choice of tree out of a graph, as initial_covering
     # makes, depends on the visiting order; sort visits each level in
-    # sorted order.
+    # sorted order, so each vertex's parent is the least vertex of the
+    # level before that is adjacent to it, whatever the neighbour order.
     up = {}
     seen = {root}
     queue = [root]
@@ -185,7 +186,7 @@ def impurity_support(tri: TemperleyTriple, t: RootedTree) -> frozenset:
 
 def initial_covering(tri: TemperleyTriple) -> DimerCovering:
     """A deterministic covering of G: BFS tree of H plus the e*1 impurity."""
-    adjacency = {v: sorted(nbrs)
-                 for v, nbrs in _h_adjacency(tri, tri.h_edges).items()}
-    t = RootedTree("H", tri.v_star, _bfs_up(tri.v_star, adjacency, sort=True))
+    t = RootedTree("H", tri.v_star,
+                   _bfs_up(tri.v_star, _h_adjacency(tri, tri.h_edges),
+                           sort=True))
     return validate_covering(tri.g, _tree_dimers(tri, t) + [tri.e_star1])

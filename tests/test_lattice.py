@@ -8,8 +8,8 @@ from octadimer.lattice import (
     BLACK, W0, W1, ComplementNotConnectedError, InvalidFStarError,
     InvalidVStarError, NormalGraph, NotConnectedError, Region, RegionError,
     build_normal_graph, build_region, classify_vertex, diagonal_edges,
-    edge, ell_region, induced_edges, is_diagonal_edge, midpoint, reach,
-    strip_region)
+    edge, ell_region, induced_edges, is_diagonal_edge, midpoint, per_graph,
+    reach, strip_region)
 
 from test_kirchhoff import square_region
 
@@ -322,3 +322,26 @@ def test_strip_v_star_choices():
     # the two legal v* for strip n=1 are the corners shared with the face
     build_region(Region.of([(1, 1)], (3, 1), (2, 2)))
     build_region(Region.of([(1, 1)], (3, 1), (2, 0)))
+
+
+def test_per_graph_builds_once_per_graph_object():
+    calls = []
+
+    @per_graph
+    def first(g):
+        calls.append(g)
+        return [len(g)]
+
+    @per_graph
+    def second(g):
+        return "second"
+
+    g = build_region(ell_region()).g
+    h = build_region(ell_region()).g
+    assert first(g) is first(g) and calls == [g]
+    assert first(h) is not first(g) and calls == [g, h]
+    assert second(g) == "second" and first(g) == [len(g)]
+    assert calls == [g, h]
+    # the keys are module-qualified names, so they cannot be attributes
+    assert [k for k in vars(g) if "." in k] == [
+        "%s.%s" % (f.__module__, f.__qualname__) for f in (first, second)]

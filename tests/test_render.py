@@ -2,14 +2,16 @@
 
 import gc
 import hashlib
+import weakref
 import xml.etree.ElementTree as ET
 from types import MappingProxyType
 
 import pytest
 
-from octadimer import render, slits
+from octadimer import moves, render, slits
 from octadimer.lattice import build_region, ell_region
 from octadimer.render import render_covering
+from octadimer.moves import t_class, t_classes
 from octadimer.sampler import ChainConfig, run
 from octadimer.slits import forests, slit_curves
 from octadimer.temperley import initial_covering
@@ -62,34 +64,44 @@ def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
     kw = {"show_slits": True, "show_forests": True}
     a, b = ell_coverings[0], ell_coverings[1]
     first = render_covering(a, **kw)
-    static = render._STATIC[ell.g]
+    static = render._static(ell.g)
     assert [type(part) for part in static] == [
         render._Frame, str, str, str, MappingProxyType]
     assert all(type(x) is int for x in static.frame)
     with pytest.raises(TypeError):
         static.px[ell.g.vertices[0]] = (0, 0)
-    fragments = render._FRAGMENTS[ell.g]
+    fragments = render._fragments(ell.g)
     before = [dict(layer) for layer in fragments]
     assert render_covering(b, **kw) != first
     assert render_covering(a, **kw) == first
-    assert render._STATIC[ell.g] is static
-    assert render._FRAGMENTS[ell.g] is fragments
+    assert render._static(ell.g) is static
+    assert render._fragments(ell.g) is fragments
     for layer, old in zip(fragments, before):
         assert all(layer[key] is value for key, value in old.items())
         assert all(type(value) is str and value == layer.__missing__(key)
                    for key, value in layer.items())
 
 
-def test_a_collected_graph_leaves_no_cache_entry():
-    tables = (slits._SEGMENTS, slits._LINKS, render._STATIC,
-              render._FRAGMENTS)
-    before = [len(t) for t in tables]
-    m = initial_covering(build_region(ell_region()))
+def test_per_graph_tables_die_with_their_graph():
+    # the chain, the walks, the curves, the forests and the picture each
+    # keep one table in the graph's own dict, and reference counting
+    # alone frees them with the graph: nothing else holds the graph
+    builders = (moves.site_table, moves._keyed_sites, slits._segment_table,
+                slits._link_table, render._static, render._fragments)
+    tri = build_region(square_region(3))
+    m = run(initial_covering(tri), ChainConfig(seed=5, steps=200)).final
+    t_classes(t_class(m))
     render_covering(m, show_slits=True, show_forests=True)
-    assert [len(t) for t in tables] == [n + 1 for n in before]
-    del m
-    gc.collect()
-    assert [len(t) for t in tables] == before
+    g = tri.g
+    assert {"%s.%s" % (b.__module__, b.__qualname__)
+            for b in builders} <= set(vars(g))
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del tri, m, g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_byte_deterministic(ell):

@@ -9,7 +9,6 @@ import pytest
 from octadimer.covering import impurities, validate_covering
 from octadimer.lattice import (InvalidInputError, build_normal_graph,
                                build_region, edge)
-from octadimer import moves
 from octadimer.moves import (proposal_sites, site_move, site_table, t_sites,
                              unit_squares)
 from octadimer.oracle import enumerate_coverings
@@ -290,7 +289,7 @@ def test_run_keeps_no_vertex_site_list():
     tri = build_region(square_region(3))
     report = run(initial_covering(tri), ChainConfig(seed=5, steps=500))
     assert report.accepted > 0
-    assert tri.g in moves._TABLES
+    assert vars(tri.g)["octadimer.moves.site_table"] is site_table(tri.g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,
