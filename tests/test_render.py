@@ -10,8 +10,8 @@ import pytest
 
 from octadimer import moves, render, slits
 from octadimer.lattice import build_region, ell_region
-from octadimer.render import render_covering
 from octadimer.moves import t_class, t_classes
+from octadimer.render import render_covering
 from octadimer.sampler import ChainConfig, run
 from octadimer.slits import forests, slit_curves
 from octadimer.temperley import initial_covering

@@ -290,6 +290,7 @@ def test_run_keeps_no_vertex_site_list():
     report = run(initial_covering(tri), ChainConfig(seed=5, steps=500))
     assert report.accepted > 0
     assert vars(tri.g)["octadimer.moves.site_table"] is site_table(tri.g)
+    assert proposal_sites(tri.g) is not proposal_sites(tri.g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,
