@@ -9,7 +9,7 @@ favor obviousness over speed and refuse inputs beyond desk scale.
 from itertools import combinations
 
 from .covering import validate_covering
-from .lattice import is_diagonal_edge
+from .lattice import InvalidInputError, is_diagonal_edge
 
 MATCHING_VERTEX_LIMIT = 34
 TREE_EDGE_LIMIT = 24
@@ -19,6 +19,18 @@ class TooLargeError(Exception):
     """The instance exceeds the soft size limit for brute force."""
 
 
+def _check_size(size, what, limit):
+    if limit is None:
+        return
+    # bool is an int subclass that would otherwise pass as 0 or 1
+    if type(limit) is not int or limit < 0:
+        raise InvalidInputError(
+            "limit %r is neither None nor a nonnegative integer" % (limit,))
+    if size > limit:
+        raise TooLargeError("%d %s exceeds the enumeration limit %d"
+                            % (size, what, limit))
+
+
 def enumerate_coverings(g, limit=MATCHING_VERTEX_LIMIT):
     """All perfect matchings of g, in a deterministic order.
 
@@ -26,10 +38,7 @@ def enumerate_coverings(g, limit=MATCHING_VERTEX_LIMIT):
     neighbors in sorted order, so the output order is reproducible.
     Pass limit=None to lift the size cap.
     """
-    if limit is not None and len(g.vertices) > limit:
-        raise TooLargeError(
-            "%d vertices exceeds the enumeration limit %d"
-            % (len(g.vertices), limit))
+    _check_size(len(g.vertices), "vertices", limit)
     if len(g.vertices) % 2:
         return []
     vertices = g.vertices
@@ -81,9 +90,7 @@ def enumerate_spanning_trees(vertices, edges, limit=TREE_EDGE_LIMIT):
     edges is a sequence of (u, v, key) triples; parallel edges are told
     apart by their keys.  Trees are emitted in lexicographic key order.
     """
-    if limit is not None and len(edges) > limit:
-        raise TooLargeError(
-            "%d edges exceeds the enumeration limit %d" % (len(edges), limit))
+    _check_size(len(edges), "edges", limit)
     vertices = sorted(vertices)
     if len(vertices) == 1:
         return [()]

@@ -28,7 +28,7 @@ endpoint x lies in T*.
 
 from .covering import (DimerCovering, ForeignEdgeError, check_covering,
                        validate_covering)
-from .lattice import TemperleyTriple, edge, midpoint, reach
+from .lattice import TemperleyTriple, edge, midpoint
 from .moves import t_classes
 
 
@@ -58,72 +58,71 @@ class RootedTree:
             self.host, self.root, len(self.edges))
 
 
-def _bfs_up(root, adjacency, sort=False):
-    # Breadth-first parent map.  A tree has one orientation toward its
-    # root, so only a choice of tree out of a graph, as initial_covering
-    # makes, depends on the visiting order; sort visits each level in
-    # sorted order, so each vertex's parent is the least vertex of the
-    # level before that is adjacent to it, whatever the neighbour order.
+def _adjacency(vertices, triples):
+    # Neighbour lists of the (u, v, key) triples, parallel edges kept.
+    adjacency = {v: [] for v in vertices}
+    for u, v, key in triples:
+        adjacency[u].append((v, key))
+        adjacency[v].append((u, key))
+    return adjacency
+
+
+def _bfs_up(root, adjacency):
+    # Breadth-first parent map, each level visited in sorted order, so
+    # each vertex's parent is the least vertex of the level before that
+    # is adjacent to it, whatever the neighbour order.  A tree has one
+    # orientation toward its root; only a choice of tree out of a
+    # graph, as initial_covering makes, depends on that order.
     up = {}
     seen = {root}
     queue = [root]
     while queue:
         nxt = []
         for v in queue:
-            for w, key in adjacency.get(v, ()):
+            for w, key in adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     up[w] = (v, key)
                     nxt.append(w)
-        queue = sorted(nxt) if sort else nxt
+        queue = sorted(nxt)
     return up
 
 
-def _grow(host, root, vertices, adjacency):
-    # Orient toward root; rejects disconnected or cyclic edge sets.
-    t = RootedTree(host, root, _bfs_up(root, adjacency))
-    n_edges = sum(len(nbrs) for nbrs in adjacency.values()) // 2
-    if t.vertices != set(vertices) or n_edges != len(vertices) - 1:
+def _grow(host, root, vertices, triples):
+    # Orient toward root.  |V| - 1 edges that reach every vertex are a
+    # spanning tree; a cycle, a missing edge or a repeat reaches fewer.
+    up = _bfs_up(root, _adjacency(vertices, triples))
+    if not len(triples) == len(up) == len(vertices) - 1:
         raise BijectionError("edge set is not a spanning tree of %s" % host)
-    return t
-
-
-def _h_adjacency(tri: TemperleyTriple, h_edges):
-    adjacency = {v: [] for v in tri.h_vertices}
-    for e in h_edges:
-        if e not in tri.h_edges:
-            raise ForeignEdgeError(e)
-        u, v = e
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-    return adjacency
+    return RootedTree(host, root, up)
 
 
 def tree_of_h(tri: TemperleyTriple, h_edges) -> RootedTree:
     """Orient a spanning edge set of H toward the root v*."""
-    return _grow("H", tri.v_star, tri.h_vertices, _h_adjacency(tri, h_edges))
+    triples = []
+    for e in h_edges:
+        if e not in tri.h_edges:
+            raise ForeignEdgeError(e)
+        triples.append((*e, e))
+    return _grow("H", tri.v_star, tri.h_vertices, triples)
 
 
 def dual_tree(tri: TemperleyTriple, t: RootedTree) -> RootedTree:
     """The complementary spanning tree of the full dual, rooted at f*."""
-    adjacency = {v: [] for v in tri.h_perp.vertices}
-    for u, v, h in tri.h_perp.dual_edges:
-        if h not in t.edges:
-            adjacency[u].append((v, h))
-            adjacency[v].append((u, h))
-    return _grow("HPerp", tri.f_star, tri.h_perp.vertices, adjacency)
+    return _grow("HPerp", tri.f_star, tri.h_perp.vertices,
+                 [d for d in tri.h_perp.dual_edges if d[2] not in t.edges])
 
 
-def _tree_dimers(tri: TemperleyTriple, t: RootedTree) -> list:
-    """Every non-root vertex of t and of its dual tree matched to the
+def _tree_dimers(*trees) -> list:
+    """Every non-root vertex of the given oriented trees matched to the
     black at the midpoint of its parent edge."""
-    return [edge(x, midpoint(h)) for tree in (t, dual_tree(tri, t))
+    return [edge(x, midpoint(h)) for tree in trees
             for x, (_, h) in tree.up.items()]
 
 
 def temperley_forward(tri: TemperleyTriple, t: RootedTree) -> DimerCovering:
     """The covering of N matching every non-root vertex to its parent edge."""
-    return validate_covering(tri.n, _tree_dimers(tri, t))
+    return validate_covering(tri.n, _tree_dimers(t, dual_tree(tri, t)))
 
 
 def phi(tri: TemperleyTriple, m: DimerCovering) -> RootedTree:
@@ -175,18 +174,15 @@ def impurity_support(tri: TemperleyTriple, t: RootedTree) -> frozenset:
     f*-component.  f* itself always qualifies.
     """
     tp = dual_tree(tri, t)
-    adjacency = {v: [] for v in tp.vertices}
-    for c, (p, h) in tp.up.items():
-        if tri.f_star in (c, p) and h not in tri.h_perp.l_edges:
-            continue
-        adjacency[c].append(p)
-        adjacency[p].append(c)
-    return frozenset(reach([tri.f_star], adjacency.__getitem__))
+    kept = [(c, p, h) for c, (p, h) in tp.up.items()
+            if tri.f_star not in (c, p) or h in tri.h_perp.l_edges]
+    up = _bfs_up(tri.f_star, _adjacency(tp.vertices, kept))
+    return frozenset(up) | {tri.f_star}
 
 
 def initial_covering(tri: TemperleyTriple) -> DimerCovering:
     """A deterministic covering of G: BFS tree of H plus the e*1 impurity."""
-    t = RootedTree("H", tri.v_star,
-                   _bfs_up(tri.v_star, _h_adjacency(tri, tri.h_edges),
-                           sort=True))
-    return validate_covering(tri.g, _tree_dimers(tri, t) + [tri.e_star1])
+    t = RootedTree("H", tri.v_star, _bfs_up(tri.v_star, _adjacency(
+        tri.h_vertices, [(*e, e) for e in tri.h_edges])))
+    return validate_covering(tri.g,
+                             _tree_dimers(t, dual_tree(tri, t)) + [tri.e_star1])

@@ -175,6 +175,14 @@ def test_enumerate_limit(capsys, ell_file):
     assert obj["error"] == "TooLargeError"
 
 
+def test_enumerate_negative_limit_exits_2(capsys, ell_file):
+    code, obj = run_cli_fail(capsys, "enumerate", ell_file, "--limit", "-1")
+    assert code == 2
+    assert obj == {"error": "InvalidInputError",
+                   "message": "limit -1 is neither None nor a nonnegative "
+                              "integer"}
+
+
 def test_prob(capsys, ell_file):
     rc, obj = run_cli(capsys, "prob", ell_file)
     assert rc == 0

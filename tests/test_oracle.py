@@ -4,7 +4,8 @@ import gc
 
 import pytest
 
-from octadimer.lattice import build_normal_graph, build_region, strip_region
+from octadimer.lattice import (InvalidInputError, build_normal_graph,
+                               build_region, strip_region)
 from octadimer.oracle import (MATCHING_VERTEX_LIMIT, TREE_EDGE_LIMIT,
                               TooLargeError, enumerate_coverings,
                               enumerate_spanning_trees, impurity_histogram)
@@ -57,6 +58,19 @@ def test_matching_limit(ell):
     assert len(ell.g) <= MATCHING_VERTEX_LIMIT
     with pytest.raises(TooLargeError):
         enumerate_coverings(ell.g, limit=10)
+
+
+@pytest.mark.parametrize("limit", [-1, True, False, 10.0, "10"])
+def test_invalid_limits_are_invalid_input(ell, strip1, limit):
+    # a negative limit used to read as too large an instance, and bool
+    # would pass as 0 or 1
+    with pytest.raises(InvalidInputError):
+        enumerate_coverings(ell.g, limit=limit)
+    with pytest.raises(InvalidInputError):
+        enumerate_spanning_trees("ab", [("a", "b", 1)], limit=limit)
+    # a limit equal to the size, 0 included, lets the instance through
+    assert len(enumerate_coverings(strip1.g, limit=len(strip1.g))) == 12
+    assert enumerate_spanning_trees("a", [], limit=0) == [()]
 
 
 def test_spanning_trees_triangle():

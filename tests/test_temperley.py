@@ -20,13 +20,13 @@ import pytest
 
 from octadimer.covering import ForeignEdgeError, impurities, validate_covering
 from octadimer.kirchhoff import region_counts
-from octadimer.lattice import (build_region, diagonal_edges, ell_region,
-                               strip_region)
+from octadimer.lattice import (Region, build_region, diagonal_edges, edge,
+                               ell_region, strip_region)
 from octadimer.moves import t_class, t_classes
 from octadimer.oracle import enumerate_coverings, enumerate_spanning_trees
 from octadimer.sampler import ChainConfig, run
 from octadimer.slits import enclosed_dual_tree, forests, impurity_curve
-from octadimer.temperley import (class_bijection, dual_tree,
+from octadimer.temperley import (BijectionError, class_bijection, dual_tree,
                                  impurity_support, initial_covering, phi, pi,
                                  temperley_forward, tree_of_h)
 
@@ -60,6 +60,25 @@ def test_tree_of_h_rejects_edges_outside_h(ell):
             tree_of_h(ell, keys - {side} | {foreign})
 
 
+def test_tree_of_h_rejects_edge_sets_that_are_not_spanning_trees(ell):
+    n = len(ell.h_vertices) - 1
+    # the sides of faces (1,1) and (3,1): n edges of H around two cycles,
+    # leaving (0,4) and (2,4) out
+    square = [edge((0, 0), (2, 0)), edge((2, 0), (2, 2)),
+              edge((2, 2), (0, 2)), edge((0, 2), (0, 0))]
+    cyclic = square + [edge((2, 0), (4, 0)), edge((4, 0), (4, 2)),
+                       edge((4, 2), (2, 2))]
+    assert len(cyclic) == n and set(cyclic) <= ell.h_edges
+    keys = list(all_h_trees(ell)[0])
+    too_few = keys[1:]
+    repeated = keys[1:] + [keys[1]]
+    # a spanning tree plus one edge reaches every vertex
+    too_many = keys + [min(ell.h_edges - set(keys))]
+    for edges in (cyclic, too_few, repeated, too_many):
+        with pytest.raises(BijectionError):
+            tree_of_h(ell, edges)
+
+
 def test_forward_phi_round_trip(ell):
     for keys in all_h_trees(ell):
         t = tree_of_h(ell, keys)
@@ -80,6 +99,46 @@ def test_initial_covering(ell, strip1, strip2):
         # projecting just strips the impurity
         r = pi(tri, m)
         assert set(r.dimers) | {tri.e_star1} == set(m.dimers)
+
+
+def tree_choice_regions():
+    """The L-region, strips 1-8, and k x k squares for k = 2..12 with f*
+    at the corner and, for even k, at the middle of the bottom side."""
+    yield ell_region()
+    for n in range(1, 9):
+        yield strip_region(n)
+    for k in range(2, 13):
+        yield square_region(k)
+        if k % 2 == 0:
+            faces = [(2 * i + 1, 2 * j + 1) for i in range(k)
+                     for j in range(k)]
+            yield Region.of(faces, (k + 1, -1), (k, 0))
+
+
+def test_initial_covering_takes_the_least_parent_bfs_tree():
+    # each vertex's parent is its least neighbour in H one BFS level
+    # nearer v*, computed here from H's edges alone
+    for region in tree_choice_regions():
+        tri = build_region(region)
+        neighbors = defaultdict(list)
+        for u, v in tri.h_edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        level = {tri.v_star: 0}
+        frontier = [tri.v_star]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in neighbors[v]:
+                    if w not in level:
+                        level[w] = level[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        t = phi(tri, initial_covering(tri))
+        assert set(t.up) == tri.h_vertices - {tri.v_star}
+        for x, (parent, _) in t.up.items():
+            assert parent == min(w for w in neighbors[x]
+                                 if level[w] == level[x] - 1)
 
 
 def pi_cases(ell, ell_coverings):
