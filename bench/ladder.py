@@ -121,10 +121,13 @@ def residual_ok(tri):
     hp = tri.h_perp
     p = solve_p(build_system(hp))
     b = dict.fromkeys(hp.faces, 0)
+    neighbors = {v: set() for v in hp.vertices}
     for u, v, h in hp.dual_edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
         if h in hp.l_edges:
             b[v if u == hp.f_star else u] = 1
-    return all(4 * p.counts[v] - sum(p.counts[w] for w in hp.neighbors(v)
+    return all(4 * p.counts[v] - sum(p.counts[w] for w in neighbors[v]
                                      if w != hp.f_star) == p.det * b[v]
                for v in hp.faces)
 

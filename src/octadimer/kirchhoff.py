@@ -60,17 +60,24 @@ def build_system(hp) -> LaplacianSystem:
     """The reduced negative Laplacian and boundary vector of a dual graph.
 
     A is stored by rows: the diagonal is always 4, and row i holds -1 at
-    each column in neighbors[i], so the system takes O(n) space.
+    each column in neighbors[i], so the system takes O(n) space.  The
+    dual edges are sorted, and an edge between two faces (u, v) has
+    u < v, so each row gets its smaller columns and then its larger
+    ones, each ascending; an edge to f* marks b if it is an l-edge.
     """
-    order = tuple(sorted(hp.faces))
+    order = hp.faces
     index = {v: i for i, v in enumerate(order)}
-    neighbors = tuple(tuple(index[w] for w in hp.neighbors(v) if w in index)
-                      for v in order)
+    neighbors = [[] for _ in order]
     b = [0] * len(order)
     for u, v, h in hp.dual_edges:
-        if h in hp.l_edges:
+        if v in index and u in index:
+            i, j = index[u], index[v]
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        elif h in hp.l_edges:
             b[index[v if u == hp.f_star else u]] = 1
-    return LaplacianSystem(order, neighbors, tuple(b), hp.d_star)
+    return LaplacianSystem(order, tuple(map(tuple, neighbors)), tuple(b),
+                           hp.d_star)
 
 
 def eliminate(sys: LaplacianSystem):

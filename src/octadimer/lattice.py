@@ -170,6 +170,25 @@ def per_graph(build):
     return get
 
 
+class Memo(dict):
+    """key -> build(key), built on a key's first lookup and kept.
+
+    The one form of a per-graph table whose entries are built lazily.
+    build must not hold the graph: kept in the graph's own dict, the
+    Memo would close a cycle, and the graph would outlive its last
+    reference until the cyclic collector ran.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def induced_edges(vertex_set) -> list[Edge]:
     """The edges of Gamma between vertices of vertex_set, in sorted order.
 
@@ -209,15 +228,26 @@ def reach(starts, neighbors) -> set:
 def build_normal_graph(vertex_set) -> NormalGraph:
     """Build the induced subgraph on vertex_set and verify it is normal.
 
+    Each point must be a pair of plain ints, as for a Region.
+    """
+    if not isinstance(vertex_set, Iterable):
+        raise InvalidInputError("%r is not a collection of points"
+                                % (vertex_set,))
+    return _normal_graph(frozenset(map(_point, vertex_set)))
+
+
+def _normal_graph(vset: frozenset) -> NormalGraph:
+    """The induced subgraph on vset, a set of plain-int points, if it
+    is normal.
+
     Gamma triangulates the plane: each unit square carries one
     diagonal, which splits it into two triangles, one per flanking
     black.  The induced subgraph spans every triangle whose three
     vertices it holds, and once it is connected its complement is
     connected exactly when V - E + (triangles) = 1.
     """
-    if not vertex_set:
+    if not vset:
         raise InvalidInputError("empty vertex set")
-    vset = frozenset(tuple(v) for v in vertex_set)
     g = NormalGraph(vset, induced_edges(vset))
     if len(reach(g.vertices[:1], g._adjacency.__getitem__)) != len(g):
         raise NotConnectedError("vertex set is not connected in Gamma")
@@ -333,14 +363,6 @@ class DualGraph:
         self.dual_edges = tuple(sorted(dual_edges))  # (u, v, h_edge)
         self.l_edges = frozenset(l_edges)            # crossed h_edges
         self.d_star = len(l_edges)
-        adjacency = {v: set() for v in self.vertices}
-        for u, v, _ in self.dual_edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self._adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-
-    def neighbors(self, v: Vertex):
-        return self._adjacency[v]
 
 
 class TemperleyTriple:
@@ -457,7 +479,7 @@ def build_region(region: Region) -> TemperleyTriple:
             "boundary of G")
     e_star2 = boundary[0] if boundary[1] == e_star1 else boundary[1]
 
-    g = build_normal_graph(g_vertices)
+    g = _normal_graph(g_vertices)
 
     # f* and v* are two whites of G that N lacks
     if g.white_count - 2 != g.black_count:

@@ -9,11 +9,10 @@ the pictures are for.  Primary forest trees are solid, dual trees
 dashed, matching the usual figure convention.
 """
 
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .covering import DimerCovering
-from .lattice import is_diagonal_edge, per_graph
+from .lattice import Memo, is_diagonal_edge, per_graph
 from .slits import forests, slit_curves
 
 PX = 20          # pixels per half lattice unit
@@ -56,23 +55,25 @@ class _Frame(NamedTuple):
 LINE = '<line x1="%d" y1="%d" x2="%d" y2="%d" %s/>'
 
 
-class _Static(NamedTuple):
-    frame: _Frame
+class _Picture(NamedTuple):
     head: str       # XML declaration and the svg start tag
     edges: str      # one grey line per edge of G
     vertices: str   # one circle per vertex of G
-    px: MappingProxyType  # vertex -> its pixel coordinates
+    dimers: Memo    # dimer -> its line, in the impurity style if diagonal
+    trees: Memo     # forest edge -> its line, dashed on W1, solid on W0
+    points: Memo    # doubled curve point -> its "x,y"
 
 
 @per_graph
-def _static(g):
-    """The parts of g's picture that no covering changes, made once per
-    graph object: each layer is already joined, so a render adds only
-    the dimers, forests and curves, joined from g's fragments.  Every
-    part is immutable, so no render can change what the next one
-    reads."""
+def _picture(g):
+    """g's picture, made once per graph object: the layers no covering
+    changes, already joined, and the fragments a covering's layers are
+    joined from, each formatted when a render first needs it.  A
+    fragment is a string that depends only on g, its edge or point and
+    its layer, so what one render adds is what any later render of g
+    would format."""
     frame = _Frame.of(g.vertices)
-    px = MappingProxyType({v: frame.vertex(v) for v in g.vertices})
+    px = {v: frame.vertex(v) for v in g.vertices}
     circles = []
     for v in g.vertices:
         x, y = px[v]
@@ -83,69 +84,25 @@ def _static(g):
             circles.append(
                 '<circle cx="%d" cy="%d" r="6" fill="#ffffff" '
                 'stroke="#000000" stroke-width="2"/>' % (x, y))
-    return _Static(
-        frame,
+
+    def dimer(e):
+        style = IMPURITY_STYLE if is_diagonal_edge(e) else DIMER_STYLE
+        return LINE % (*px[e[0]], *px[e[1]], style)
+
+    def tree_edge(e):
+        style = DUAL_STYLE if e[0][0] % 2 else PRIMARY_STYLE
+        return LINE % (*px[e[0]], *px[e[1]], style)
+
+    return _Picture(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="0 0 %d %d">' % (frame.width, frame.height),
         "\n".join([LINE % (*px[u], *px[v], EDGE_STYLE)
                    for u, v in g.edges]),
         "\n".join(circles),
-        px)
-
-
-class _Lines(dict):
-    """edge -> its line in one layer, formatted on first use: in style,
-    or in diagonal_style if the edge is diagonal."""
-
-    __slots__ = ("px", "style", "diagonal_style")
-
-    def __init__(self, px, style, diagonal_style):
-        self.px = px
-        self.style = style
-        self.diagonal_style = diagonal_style
-
-    def __missing__(self, e):
-        px = self.px
-        style = self.diagonal_style if is_diagonal_edge(e) else self.style
-        line = self[e] = LINE % (*px[e[0]], *px[e[1]], style)
-        return line
-
-
-class _Points(dict):
-    """doubled curve point -> its "x,y", formatted on first use."""
-
-    __slots__ = ("at",)
-
-    def __init__(self, at):
-        self.at = at
-
-    def __missing__(self, p):
-        xy = self[p] = "%d,%d" % self.at(p)
-        return xy
-
-
-class _Fragments(NamedTuple):
-    dimers: _Lines      # a dimer, or the impurity if diagonal
-    primary: _Lines     # an edge of a primary tree
-    dual: _Lines        # an edge of a dual tree
-    points: _Points
-
-
-@per_graph
-def _fragments(g):
-    """g's table of the fragments a covering's layers are joined from,
-    one per graph object, each fragment formatted when a render first
-    needs it.  A fragment is a string that depends only on g, its edge
-    or point and its layer, so what one render adds to the table is
-    what any later render of g would format."""
-    static = _static(g)
-    px = static.px
-    return _Fragments(
-        _Lines(px, DIMER_STYLE, IMPURITY_STYLE),
-        _Lines(px, PRIMARY_STYLE, PRIMARY_STYLE),
-        _Lines(px, DUAL_STYLE, DUAL_STYLE),
-        _Points(static.frame.at))
+        Memo(dimer),
+        Memo(tree_edge),
+        Memo(lambda p: "%d,%d" % frame.at(p)))
 
 
 def render_covering(m: DimerCovering, show_slits=False,
@@ -156,22 +113,19 @@ def render_covering(m: DimerCovering, show_slits=False,
     vertices, so the covering's layers lie over the graph's edges and
     under its vertices.
     """
-    g = m.graph
-    static = _static(g)
-    fragments = _fragments(g)
-    parts = [static.head, static.edges]
-    parts += map(fragments.dimers.__getitem__, m.dimers)
+    picture = _picture(m.graph)
+    parts = [picture.head, picture.edges]
+    parts += map(picture.dimers.__getitem__, m.dimers)
     if show_forests:
         fp = forests(m)
-        for trees, lines in ((fp.primary, fragments.primary),
-                             (fp.dual, fragments.dual)):
-            for tree in trees:
-                parts += map(lines.__getitem__, sorted(tree.edges))
+        line = picture.trees.__getitem__
+        for tree in fp.primary + fp.dual:
+            parts += map(line, sorted(tree.edges))
     if show_slits:
-        point = fragments.points.__getitem__
+        point = picture.points.__getitem__
         for c in sorted(slit_curves(m), key=lambda c: c.points):
             parts.append('<polyline points="%s" %s/>'
                          % (" ".join(map(point, c.points)), SLIT_STYLE))
-    parts.append(static.vertices)
+    parts.append(picture.vertices)
     parts.append('</svg>')
     return "\n".join(parts) + "\n"

@@ -30,7 +30,7 @@ sublattice, the dual forest on the odd one.
 from dataclasses import dataclass
 
 from .covering import DimerCovering
-from .lattice import (Edge, Vertex, _edge_arg, diagonal_edges, edge,
+from .lattice import (Edge, Memo, Vertex, _edge_arg, diagonal_edges, edge,
                       flanking_blacks, is_diagonal_edge, per_graph)
 
 
@@ -141,24 +141,19 @@ def _black_segments(vs, b, w):
 
 @per_graph
 def _segment_table(g):
-    """g's table of black segments: {black: its segments} for blacks
-    whose dimer is vertical, and the same for horizontal dimers.
+    """g's table of black segments, indexed by whether a black's dimer
+    is horizontal: two Memos, black -> its segments.
 
     A black's arcs depend on g and on j mod 2 alone, j the ring index
     of its mate: on whether its dimer is horizontal.  So its segments
-    are computed once per graph object, black and orientation, and only
-    when a covering first needs them, so a fresh graph's first call
-    joins no arcs it does not use.
+    are built from one white of that orientation, once per graph
+    object, black and orientation, and only when a covering first
+    needs them, so a fresh graph's first call joins no arcs it does
+    not use.
     """
-    return ({}, {})
-
-
-def _segments_at(table, vs, b, w):
-    segments_of = table[w[1] == b[1]]       # whether b's dimer is horizontal
-    segments = segments_of.get(b)
-    if segments is None:
-        segments = segments_of[b] = _black_segments(vs, b, w)
-    return segments
+    vs = g.vertex_set
+    return (Memo(lambda b: _black_segments(vs, b, (b[0], b[1] + 1))),
+            Memo(lambda b: _black_segments(vs, b, (b[0] + 1, b[1]))))
 
 
 def slit_curves(m: DimerCovering):
@@ -172,7 +167,6 @@ def slit_curves(m: DimerCovering):
     through the unit point it arrived by.
     """
     g = m.graph
-    vs = g.vertex_set
     table = _segment_table(g)
     mate = m._mate
     first, second = {}, {}
@@ -180,7 +174,7 @@ def slit_curves(m: DimerCovering):
     tips = []
     arcs = 0
     for b in g.blacks:
-        for s in _segments_at(table, vs, b, mate[b]):
+        for s in table[mate[b][1] == b[1]][b]:
             d = s[0]
             if d not in first:
                 first[d] = s
@@ -331,7 +325,7 @@ def impurity_curve(m: DimerCovering, e: Edge) -> SlitCurve:
         p = start
         half = []
         while b in vs:
-            for s in _segments_at(table, vs, b, mate[b]):
+            for s in table[mate[b][1] == b[1]][b]:
                 if s[0] == p:
                     break
             else:               # b has no segment from p

@@ -6,7 +6,8 @@ import pytest
 
 from octadimer.lattice import (
     BLACK, W0, W1, ComplementNotConnectedError, InvalidFStarError,
-    InvalidVStarError, NormalGraph, NotConnectedError, Region, RegionError,
+    InvalidInputError, InvalidVStarError, Memo, NormalGraph,
+    NotConnectedError, Region, RegionError,
     build_normal_graph, build_region, classify_vertex, diagonal_edges,
     edge, ell_region, induced_edges, is_diagonal_edge, midpoint, per_graph,
     reach, strip_region)
@@ -173,6 +174,16 @@ def test_annulus_rejected():
             if (x, y) != (0, 0)]
     with pytest.raises(ComplementNotConnectedError):
         build_normal_graph(ring)
+
+
+@pytest.mark.parametrize("vertex_set", [
+    [(0, 0), (0, True)], [(0, 0), (0, "a")], [1, 2], 5])
+def test_normal_graph_points_must_be_pairs_of_ints(vertex_set):
+    # True would pass as 1 and keep a vertex (0, True); a string
+    # coordinate, a bare int point and a non-collection would raise an
+    # untyped TypeError
+    with pytest.raises(InvalidInputError):
+        build_normal_graph(vertex_set)
 
 
 def test_region_of_normalizes():
@@ -345,3 +356,20 @@ def test_per_graph_builds_once_per_graph_object():
     # the keys are module-qualified names, so they cannot be attributes
     assert [k for k in vars(g) if "." in k] == [
         "%s.%s" % (f.__module__, f.__qualname__) for f in (first, second)]
+
+
+def test_memo_builds_each_key_once():
+    calls = []
+
+    def build(key):
+        calls.append(key)
+        return [key]
+
+    memo = Memo(build)
+    assert memo == {} and calls == []
+    first = memo[1]
+    assert first == [1] and memo[1] is first and calls == [1]
+    assert memo[2] == [2] and calls == [1, 2]
+    assert memo[1] is first and memo[2] is memo[2] and calls == [1, 2]
+    assert memo == {1: [1], 2: [2]} and memo.build is build
+    assert 3 not in memo and memo.get(3) is None and calls == [1, 2]

@@ -4,12 +4,11 @@ import gc
 import hashlib
 import weakref
 import xml.etree.ElementTree as ET
-from types import MappingProxyType
 
 import pytest
 
 from octadimer import moves, render, slits
-from octadimer.lattice import build_region, ell_region
+from octadimer.lattice import Memo, build_region, ell_region
 from octadimer.moves import t_class, t_classes
 from octadimer.render import render_covering
 from octadimer.sampler import ChainConfig, run
@@ -55,30 +54,24 @@ def test_pinned_bytes(name):
 
 
 def test_renders_of_one_graph_share_nothing_mutable(ell, ell_coverings):
-    # what renders of one graph share is its static record, whose parts
-    # are strings, a named tuple of ints and a read-only mapping, and its
-    # fragment table, which a render only adds to: each entry is an
-    # immutable string that depends only on the graph, its edge or
-    # point and its layer, so a render of another covering in between
-    # leaves a covering's bytes as they were
+    # what renders of one graph share is its picture: three joined
+    # strings, and three fragment tables that a render only adds to;
+    # each entry is an immutable string that depends only on the graph,
+    # its edge or point and its layer, so a render of another covering
+    # in between leaves a covering's bytes as they were
     kw = {"show_slits": True, "show_forests": True}
     a, b = ell_coverings[0], ell_coverings[1]
     first = render_covering(a, **kw)
-    static = render._static(ell.g)
-    assert [type(part) for part in static] == [
-        render._Frame, str, str, str, MappingProxyType]
-    assert all(type(x) is int for x in static.frame)
-    with pytest.raises(TypeError):
-        static.px[ell.g.vertices[0]] = (0, 0)
-    fragments = render._fragments(ell.g)
-    before = [dict(layer) for layer in fragments]
+    picture = render._picture(ell.g)
+    assert [type(part) for part in picture] == [str, str, str] + [Memo] * 3
+    layers = picture[3:]
+    before = [dict(layer) for layer in layers]
     assert render_covering(b, **kw) != first
     assert render_covering(a, **kw) == first
-    assert render._static(ell.g) is static
-    assert render._fragments(ell.g) is fragments
-    for layer, old in zip(fragments, before):
+    assert render._picture(ell.g) is picture
+    for layer, old in zip(layers, before):
         assert all(layer[key] is value for key, value in old.items())
-        assert all(type(value) is str and value == layer.__missing__(key)
+        assert all(type(value) is str and value == layer.build(key)
                    for key, value in layer.items())
 
 
@@ -87,7 +80,7 @@ def test_per_graph_tables_die_with_their_graph():
     # keep one table in the graph's own dict, and reference counting
     # alone frees them with the graph: nothing else holds the graph
     builders = (moves.site_table, moves._keyed_sites, slits._segment_table,
-                slits._link_table, render._static, render._fragments)
+                slits._link_table, render._picture)
     tri = build_region(square_region(3))
     m = run(initial_covering(tri), ChainConfig(seed=5, steps=200)).final
     t_classes(t_class(m))

@@ -22,7 +22,7 @@ import pytest
 from octadimer import slits
 from octadimer.covering import (DimerCovering, impurities,
                                 validate_covering)
-from octadimer.lattice import (build_normal_graph, build_region, edge,
+from octadimer.lattice import (Memo, build_normal_graph, build_region, edge,
                                flanking_blacks, reach, strip_region)
 from octadimer.moves import apply_move, find_moves
 from octadimer.oracle import enumerate_coverings
@@ -128,7 +128,7 @@ def table_items(m):
     g = m.graph
     table = slits._segment_table(g)
     return [(b, s) for b in g.blacks
-            for s in slits._segments_at(table, g.vertex_set, b, m.mate(b))]
+            for s in table[m.mate(b)[1] == b[1]][b]]
 
 
 def reference_forests(m):
@@ -367,19 +367,24 @@ def test_impurity_walk_loop_sentinel(monkeypatch, diamond):
 
     # the walk reads one black's segments a step; a walk that missed
     # the loop would fail here rather than run forever
-    segments_at = slits._segments_at
     steps = []
 
-    def counted(*args):
-        steps.append(args)
-        if len(steps) > 100:
-            raise AssertionError("the walk did not stop on the loop")
-        return segments_at(*args)
+    class Counted(Memo):
+        __slots__ = ()
+
+        def __getitem__(self, b):
+            steps.append(b)
+            if len(steps) > 100:
+                raise AssertionError("the walk did not stop on the loop")
+            return super().__getitem__(b)
 
     monkeypatch.setattr(slits, "_black_arcs", around_c)
-    monkeypatch.setattr(slits, "_segments_at", counted)
-    # a fresh graph, so its segment table is empty and filled by the fake
+    # a fresh graph, so its segment table is empty and filled by the
+    # fake; its two Memos are swapped for counting ones
     g = build_normal_graph(diamond.graph.vertices)
+    key = "%s.%s" % (slits._segment_table.__module__,
+                     slits._segment_table.__qualname__)
+    vars(g)[key] = tuple(Counted(t.build) for t in slits._segment_table(g))
     m = validate_covering(g, diamond.dimers)
     with pytest.raises(SlitLoopError, match="closes on itself"):
         impurity_curve(m, ((4, -2), (5, -1)))
