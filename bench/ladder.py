@@ -1,8 +1,9 @@
 """Per-layer timings of the counting, slit, chain, t-class and move-graph
 paths over a region ladder.
 
-Times lattice.build_region, kirchhoff.build_system, kirchhoff.tree_count
-and kirchhoff.total_coverings, temperley.initial_covering, slits.slit_curves
+Times lattice.build_region, kirchhoff.build_system, kirchhoff.eliminate on
+the built system alone, kirchhoff.tree_count and kirchhoff.total_coverings,
+temperley.initial_covering, slits.slit_curves
 and slits.forests on the region's initial_covering, sampler.run (seed 1,
 20 000 steps, also given as steps per second) from it, and
 slits.slit_curves, moves.t_class, temperley.pi, slits.impurity_curve and
@@ -45,6 +46,15 @@ connect, which fall into |det A| t-classes that biject with |det A|
 trees, and whose forest pairs each split G's whites into trees.
 `selftest` exits 0.
 
+On each square it also replays eliminate's pivot pattern with no
+integers: which entries each step stores, updates and brings up, and
+the step each was last brought to.  The replay gives exact counts of
+the entry updates and bring-ups (see kirchhoff.eliminate) the solve
+makes in build_system's order.  After the ladder come the solve-only
+rungs, k x k squares too large for the rest of the ladder (k = 32):
+build_region, build_system and eliminate timed, the replay counted,
+det A checked against square_det and the counts by A N = |det A| b.
+
 Stdlib only; it imports octadimer from the path, so
 
     PYTHONPATH=src python3 bench/ladder.py [--quick]
@@ -54,8 +64,10 @@ times another.  One JSON object goes to stdout: provenance (Python,
 nproc, the library's git commit and whether its tree is dirty, a hash
 of its sources and a hash of the ladder), the selftest record and one
 record per region.
---quick runs strips 1..8, the L-region and squares 4 and 8 once.  The
-exit status is 1 if any check fails.
+--quick runs strips 1..8, the L-region and squares 4 and 8 once, with
+12 x 12 and 16 x 16 as solve-only rungs, whose nested-dissection order
+has two or more separator levels.  The exit status is 1 if any check
+fails.
 """
 
 import argparse
@@ -83,11 +95,14 @@ from octadimer import (ChainConfig, Region, build_region, build_system,
                        tree_count, validate_covering)
 from octadimer.cli import main as cli_main
 from octadimer.covering import CoveringError
+from octadimer.kirchhoff import eliminate
 from octadimer.render import render_covering
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
 QUICK_SQUARES = (4, 8)
+SOLVE_ONLY = (32,)
+QUICK_SOLVE_ONLY = (12, 16)
 REPEATS = 5
 CHAIN = ChainConfig(seed=1, steps=20000)
 SAMPLE_EVERY = 100
@@ -160,6 +175,35 @@ def square_det(k):
             p[i] = [(pivot * x - f * y) // prev for x, y in zip(p[i], p[c])]
         prev = pivot
     return prev
+
+
+def replay(system):
+    """Entry updates and bring-ups of eliminate(system), from its pivot
+    pattern alone.
+
+    Each row keeps its stored columns and the step each entry was last
+    brought to, as eliminate does, but no entry.  Step k brings up the
+    pivot row's entries below level k, then updates each row i > k in
+    the pivot row at the pivot row's columns from i on, bringing up
+    those it finds below level k; a column it does not find is filled
+    in.
+    """
+    n = len(system.order)
+    rows = [dict.fromkeys([j for j in adj if j > i] + [i] + [n] * b, 0)
+            for i, (adj, b) in enumerate(zip(system.neighbors, system.b))]
+    updates = bring_ups = 0
+    for k in range(n):
+        bring_ups += sum(level < k for level in rows[k].values())
+        top = sorted(j for j in rows[k] if j != k)
+        for p, i in enumerate(top):
+            if i == n:
+                break
+            row = rows[i]
+            for j in top[p:]:
+                bring_ups += row.get(j, k) < k
+                row[j] = k + 1
+            updates += len(top) - p
+    return {"entry_updates": updates, "bring_ups": bring_ups}
 
 
 def forests_span(fp, g):
@@ -260,6 +304,7 @@ def t_class_size_ok(tri, m, size):
 def measure(name, region, repeats, workdir):
     t_region, tri = median_time(lambda: build_region(region), repeats)
     t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
+    t_eliminate, _ = median_time(lambda: eliminate(system), repeats)
     t_det, det = median_time(lambda: tree_count(system), repeats)
     t_total, total = median_time(lambda: total_coverings(tri), repeats)
     t_initial, m = median_time(lambda: initial_covering(tri), repeats)
@@ -292,7 +337,8 @@ def measure(name, region, repeats, workdir):
               "pi_ok": validate_covering(
                   tri.g, projected.dimers + (tri.e_star1,)) in cls,
               "seconds": {"build_region": t_region, "build_system": t_system,
-                          "tree_count": t_det, "total_coverings": t_total,
+                          "eliminate": t_eliminate, "tree_count": t_det,
+                          "total_coverings": t_total,
                           "initial_covering": t_initial,
                           "slit_curves": t_curves, "forests": t_forests,
                           "chain_run": t_chain,
@@ -313,6 +359,7 @@ def measure(name, region, repeats, workdir):
     if name.startswith("square"):
         record["square_det_ok"] = det == square_det(
             math.isqrt(len(region.faces)))
+        record.update(replay(system))
         t_sample, record["sample_ok"] = sample_command(path, tri.g, repeats)
         record["seconds"]["sample"] = t_sample
     if name == "ell":
@@ -335,6 +382,22 @@ def measure(name, region, repeats, workdir):
                                  class_bijection=t_bijection,
                                  forests_all=t_all_forests)
     return record
+
+
+def measure_solve(k, repeats):
+    """The solve alone on the k x k square: build_region, build_system
+    and eliminate timed, the replay counted, det A checked against
+    square_det and the counts by residual_ok."""
+    region = square_region(k)
+    t_region, tri = median_time(lambda: build_region(region), repeats)
+    t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
+    t_eliminate, (det, _) = median_time(lambda: eliminate(system), repeats)
+    return {"name": "square%d" % k, "faces": k * k,
+            "det_bits": det.bit_length(), "det": str(det),
+            "square_det_ok": det == square_det(k),
+            "residual_ok": residual_ok(tri), **replay(system),
+            "seconds": {"build_region": t_region, "build_system": t_system,
+                        "eliminate": t_eliminate}}
 
 
 def strip_recurrence_ok(records):
@@ -375,13 +438,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
                         help="strips 1..8, the L-region and squares 4, 8, "
-                        "one repeat")
+                        "solve-only squares 12, 16, one repeat")
     args = parser.parse_args(argv)
     repeats = 1 if args.quick else REPEATS
     regions = ladder(args.quick)
+    solve_only = QUICK_SOLVE_ONLY if args.quick else SOLVE_ONLY
     with tempfile.TemporaryDirectory() as workdir:
         records = [measure(name, region, repeats, workdir)
                    for name, region in regions]
+    solves = [measure_solve(k, repeats) for k in solve_only]
     t_selftest, (code, _) = median_time(lambda: cli_call(["selftest"]), 1)
     selftest = {"seconds": t_selftest, "ok": code == 0}
     ok = selftest["ok"] and strip_recurrence_ok(records) and all(
@@ -390,10 +455,12 @@ def main(argv=None):
         and r.get("sample_ok", True) and r.get("square_det_ok", True)
         and r.get("oracle_ok", True)
         and r.get("connected", True) and r.get("classes_ok", True)
-        for r in records)
-    print(json.dumps({"provenance": provenance(regions, repeats),
+        for r in records) and all(
+        r["square_det_ok"] and r["residual_ok"] for r in solves)
+    spec = regions + [("solve%d" % k, square_region(k)) for k in solve_only]
+    print(json.dumps({"provenance": provenance(spec, repeats),
                       "correct": ok, "selftest": selftest,
-                      "regions": records}, indent=1))
+                      "regions": records, "solves": solves}, indent=1))
     return 0 if ok else 1
 
 

@@ -307,6 +307,21 @@ def test_hand_built_rows_rejected(neighbors, b):
         assert not isinstance(err.value, SingularSystemError)
 
 
+@pytest.mark.parametrize("order", [
+    ((1, 1), "a"),                    # not comparable: the faces are sorted
+    ((1, 1), [1, 3]),                 # not hashable
+    ((1, 1), (1, 1)),                 # a face given twice
+], ids=["string", "list", "repeated"])
+def test_hand_built_order_rejected(order):
+    # the rows are fine, so tree_count still reads det; only the
+    # Solution needs the faces
+    sys = LaplacianSystem(order=order, neighbors=((1,), (0,)), b=(0, 1),
+                          d_star=1)
+    assert tree_count(sys) == 15
+    with pytest.raises(InvalidInputError):
+        solve_p(sys)
+
+
 @pytest.mark.parametrize("region", LADDER, ids=LADDER_IDS)
 def test_elimination_matches_reference(region):
     assert_matches_reference(build_region(region))
@@ -322,6 +337,66 @@ def test_region_counts_is_the_face_solve_plus_f_star(region):
     assert (p.det, p.total) == (faces.det, faces.total)
     assert p.counts == {**faces.counts, tri.f_star: p.det}
     assert tri.f_star not in faces and p[tri.f_star] == 1
+
+
+ORDER_REGIONS = LADDER + [square_region(k) for k in (3, 5, 12)] + [
+    polyomino_region(seed, n) for seed, n in ((3, 60), (5, 8), (7, 9))]
+ORDER_IDS = LADDER_IDS + ["square3", "square5", "square12", "polyomino60",
+                          "polyomino8", "polyomino9"]
+
+
+@pytest.mark.parametrize("region", ORDER_REGIONS, ids=ORDER_IDS)
+def test_pivot_order_is_a_permutation_of_the_faces(region):
+    # build_system pivots in nested-dissection order; a region of at
+    # most _LEAF faces keeps the sorted order of hp.faces
+    hp = build_region(region).h_perp
+    order = build_system(hp).order
+    assert sorted(order) == list(hp.faces) and len(set(order)) == len(order)
+    if len(order) <= kirchhoff._LEAF:
+        assert order == hp.faces
+    else:
+        assert order != hp.faces
+
+
+@pytest.mark.parametrize("k", [3, 4, 8, 12])
+def test_square_pivot_order_ends_with_its_separator(k):
+    # a square's x and y extents tie, so it is split along x at its
+    # median column, which comes last, after every face left of it
+    order = build_system(build_region(square_region(k)).h_perp).order
+    mid = 2 * (k // 2) + 1
+    assert [f[0] for f in order[-k:]] == [mid] * k
+    left = {f for f in order if f[0] < mid}
+    assert set(order[:len(left)]) == left
+
+
+@pytest.mark.parametrize("region", ORDER_REGIONS, ids=ORDER_IDS)
+def test_solution_faces_iterate_in_sorted_order(region):
+    # solve_p's Solution lists the faces in sorted order, whatever the
+    # pivot order; region_counts appends f*
+    tri = build_region(region)
+    sys = build_system(tri.h_perp)
+    faces = list(tri.h_perp.faces)
+    assert list(solve_p(sys)) == faces
+    assert list(solve_p(permuted(sys, sys.order[::-1]))) == faces
+    assert list(region_counts(tri)) == faces + [tri.f_star]
+
+
+def test_entries_untouched_across_pivots():
+    # row 4's column 5 is stored at level 0 and untouched through steps
+    # 0 to 2, then step 3 updates it, bringing it up by piv[3] / piv[0]
+    # first; step 0 updates row 4's column n (b) to level 1, and nothing
+    # touches it again until row 4 is the pivot row at step 4, which
+    # brings it up by piv[4] / piv[1]
+    order = tuple((2 * i + 1, 1) for i in range(6))
+    sys = LaplacianSystem(order=order,
+                          neighbors=((4,), (2,), (1,), (4, 5), (0, 3, 5),
+                                     (3, 4)),
+                          b=(1, 0, 1, 0, 1, 0), d_star=1)
+    det, counts = eliminate(sys)
+    ref_det, ref_counts = reference_solve(sys)
+    assert det == abs(ref_det) > 0
+    assert list(counts) == ref_counts
+    assert_solves(sys, det, counts)
 
 
 def permuted(sys, order):
@@ -400,7 +475,7 @@ def test_square_det_by_hand():
         4, 2 * 4 * 4 * 6, (16 - 8) * (16 - 2) ** 2 * 4 ** 3]
 
 
-@pytest.mark.parametrize("k", [4, 8, 12, 16])
+@pytest.mark.parametrize("k", [4, 8, 12, 16, 24])
 def test_elimination_det_matches_square_det(k):
     # det P_k(4I - T) from the path recurrence and a dense elimination,
     # sharing nothing with eliminate; bench/ladder.py checks every
