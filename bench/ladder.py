@@ -20,7 +20,9 @@ every region it times the whole `prob` command in process, stdout
 captured, on a region file, and on each square the whole `sample`
 command (seed 1, 20 000 steps, every 100th state), which builds the
 region and draws the final covering's curves around the chain; the
-first command of the run also builds the CLI's parser.  After the
+first command of the run also builds the CLI's parser.  The `emit` row
+times the CLI's JSON writer (cli._json_text) alone on that region's
+`prob` answer, parsed back from stdout.  After the
 ladder it times one `selftest` command.  The L-region row also times
 oracle.enumerate_coverings and, over its enumeration,
 moves.move_graph_connected, moves.t_classes, temperley.class_bijection
@@ -38,7 +40,8 @@ exactly one of them, the one slits.impurity_curve returns; the t-class
 has 4(|T*| - 1) + d* + 1 members, T* being slits.enclosed_dual_tree of the
 final covering's impurity curve; pi of the final covering plus e*1 is
 a member of its t-class; and `prob` exits 0 with det_A =
-tree_count and total = total_coverings.  On each square `sample` exits
+tree_count and total = total_coverings, and the writer turns its answer
+back into the same stdout.  On each square `sample` exits
 0, its final covering validates on G, it reports ceil(steps / every)
 samples and its impurity counts sum to that.  On the L-region the
 oracle enumerates total_coverings coverings, which s- and t-moves
@@ -93,7 +96,7 @@ from octadimer import (ChainConfig, Region, build_region, build_system,
                        move_graph_connected, pi, run, slit_curves, solve_p,
                        strip_region, t_class, t_classes, total_coverings,
                        tree_count, validate_covering)
-from octadimer.cli import main as cli_main
+from octadimer.cli import _json_text, main as cli_main
 from octadimer.covering import CoveringError
 from octadimer.kirchhoff import eliminate
 from octadimer.render import render_covering
@@ -265,14 +268,18 @@ def cli_call(argv):
 
 
 def prob_command(path, det, total, repeats):
-    """Median time of the `prob` command on the region file at path, and
-    whether it exits 0 with det_A and total equal to det and total."""
+    """Median time of the `prob` command on the region file at path, the
+    median time of the CLI's JSON writer alone on its answer, and
+    whether it exits 0 with det_A and total equal to det and total and
+    the writer gives back its stdout."""
     t, (code, stdout) = median_time(lambda: cli_call(["prob", path]),
                                     repeats)
     if code != 0:
-        return t, False
+        return t, None, False
     obj = json.loads(stdout)
-    return t, obj["det_A"] == str(det) and obj["total"] == str(total)
+    t_emit, text = median_time(lambda: _json_text(obj), repeats)
+    return t, t_emit, (obj["det_A"] == str(det) and obj["total"] == str(total)
+                       and text + "\n" == stdout)
 
 
 def sample_command(path, g, repeats):
@@ -354,8 +361,8 @@ def measure(name, region, repeats, workdir):
         json.dump({"faces": [list(v) for v in region.faces],
                    "f_star": list(region.f_star),
                    "v_star": list(region.v_star)}, f)
-    record["seconds"]["prob"], record["prob_ok"] = prob_command(
-        path, det, total, repeats)
+    (record["seconds"]["prob"], record["seconds"]["emit"],
+     record["prob_ok"]) = prob_command(path, det, total, repeats)
     if name.startswith("square"):
         record["square_det_ok"] = det == square_det(
             math.isqrt(len(region.faces)))

@@ -7,7 +7,10 @@ Every output is JSON with sorted keys (byte-deterministic) except
 render, which emits SVG.  _emit writes the bytes of json.dumps(obj,
 indent=2, sort_keys=True) through _json_text, one join per container
 over json's C string encoder, because json's own indented encoder runs
-in pure Python.  Exit codes: 0 success, 2 a bad command
+in pure Python; a point, a pair of plain ints inside a list, is written
+from one template, with no call of its own.  prob writes each p_v and
+each probability as the reduced "n/d" of its integer counts (_ratio),
+with no Fraction.  Exit codes: 0 success, 2 a bad command
 line, a validation failure or an output path that cannot be written, 3
 enumeration infeasible, 1 selftest failure.  Every InvalidInputError a
 command raises becomes exit 2 in main, at one place.
@@ -16,10 +19,10 @@ command raises becomes exit 2 in main, at one place.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import kirchhoff, moves, oracle, render, sampler, slits, temperley
@@ -35,7 +38,9 @@ def _json_text(obj, indent=""):
     Strings, lists, tuples, dicts and plain ints are written here; any
     other leaf (a bool, None or a float) is json.dumps of the leaf.
     Dict keys must be strings: the string encoder raises TypeError on
-    any other.
+    any other.  An item of a list or tuple that is itself a list or
+    tuple of exactly two plain ints, a point, is written from one
+    template, with no call of its own.
     """
     if type(obj) is int:
         return int.__repr__(obj)
@@ -45,8 +50,12 @@ def _json_text(obj, indent=""):
         if not obj:
             return "[]"
         inner = indent + "  "
+        point = "[\n%s  %%d,\n%s  %%d\n%s]" % (inner, inner, inner)
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(
-            [_json_text(x, inner) for x in obj]), indent)
+            [point % (x[0], x[1])
+             if isinstance(x, (list, tuple)) and len(x) == 2
+             and type(x[0]) is int and type(x[1]) is int
+             else _json_text(x, inner) for x in obj]), indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -55,6 +64,15 @@ def _json_text(obj, indent=""):
             [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
              for k, v in sorted(obj.items())]), indent)
     return json.dumps(obj)
+
+
+def _ratio(n, d):
+    """str(Fraction(n, d)) for n >= 0 and d > 0: the reduced "n/d", or
+    "n" when d divides n."""
+    c = math.gcd(n, d)
+    if c == d:
+        return str(n // d)
+    return "%d/%d" % (n // c, d // c)
 
 
 def _emit(obj):
@@ -144,11 +162,11 @@ def cmd_prob(args):
         edges.append({
             "edge": [list(e[0]), list(e[1])],
             "count": str(count),
-            "probability": str(Fraction(count, p.total)),
+            "probability": _ratio(count, p.total),
         })
     _emit({
         "det_A": str(p.det),
-        "p": {"[%d, %d]" % v: str(p[v]) for v in p},
+        "p": {"[%d, %d]" % v: _ratio(c, p.det) for v, c in p.counts.items()},
         "total": str(p.total),
         "d_star": tri.h_perp.d_star,
         "edge_probabilities": edges,

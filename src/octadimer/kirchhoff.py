@@ -185,9 +185,9 @@ def eliminate(sys: LaplacianSystem):
 
 
 def _check_rows(sys: LaplacianSystem, n: int):
-    """Reject rows build_system cannot make.
+    """Reject rows, or a d_star, that build_system cannot make.
 
-    Rows of at most four distinct neighbors in range(n), none the row
+    d_star counts l-edges, so it is a plain non-negative int.  Rows of at most four distinct neighbors in range(n), none the row
     itself, with j in row i exactly when i is in row j, make A symmetric
     and diagonally dominant, so positive semidefinite: a zero leading
     minor then means det A = 0, and the elimination needs no swaps.
@@ -209,6 +209,9 @@ def _check_rows(sys: LaplacianSystem, n: int):
         if type(sys.b[i]) is not int or sys.b[i] not in (0, 1):
             raise InvalidInputError("b[%d] = %r is not 0 or 1"
                                     % (i, sys.b[i]))
+    if type(sys.d_star) is not int or sys.d_star < 0:
+        raise InvalidInputError("d_star = %r is not a non-negative integer"
+                                % (sys.d_star,))
 
 
 def tree_count(sys: LaplacianSystem) -> int:

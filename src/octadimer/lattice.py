@@ -90,30 +90,46 @@ class NormalGraph:
     Vertices and edges are kept as sorted tuples so that iteration
     order is deterministic everywhere downstream; an edge given as
     (v, u) with u < v is kept as (u, v), and each vertex's neighbours
-    come out in ascending order.  build_normal_graph
-    makes the induced, simply connected ones; the bipartite graph N of
-    a region keeps only unit edges, leaving out the diagonals between
-    its whites.
+    come out in ascending order.  NormalGraph(vertices, edges) sorts
+    what it is given; build_normal_graph and build_region make the
+    induced, simply connected ones in one walk over the sorted vertices
+    (_induced), which sorts nothing a second time.  Either way _set
+    sets every attribute, and edge_set is built on first use.  The
+    bipartite graph N of a region keeps only unit edges, leaving out
+    the diagonals between its whites.
     """
 
     def __init__(self, vertices, edges):
-        self.vertices = tuple(sorted(vertices))
-        self.edges = tuple(sorted([e if e[0] <= e[1] else (e[1], e[0])
-                                   for e in edges]))
-        self.vertex_set = frozenset(self.vertices)
-        self.edge_set = frozenset(self.edges)
+        vertices = sorted(vertices)
+        edges = sorted([e if e[0] <= e[1] else (e[1], e[0]) for e in edges])
         # the edges are sorted and canonical, so each vertex gets its
         # smaller neighbours and then its larger ones, each ascending
-        adjacency = {v: [] for v in self.vertices}
-        for u, v in self.edges:
+        adjacency = {v: [] for v in vertices}
+        for u, v in edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
+        # every edge of Gamma is a unit edge or a diagonal, and only a
+        # diagonal moves both coordinates
+        self._set(frozenset(vertices), vertices, edges, adjacency,
+                  [v for v in vertices if not (v[0] + v[1]) % 2],
+                  [v for v in vertices if (v[0] + v[1]) % 2],
+                  [e for e in edges
+                   if e[0][0] != e[1][0] and e[0][1] != e[1][1]])
+
+    def _set(self, vertex_set, vertices, edges, adjacency, whites, blacks,
+             diagonals):
+        """Set every attribute, from sorted vertices, sorted canonical
+        edges, ascending neighbour lists and the sorted whites, blacks
+        and diagonals among them."""
+        self.vertices = tuple(vertices)
+        self.edges = tuple(edges)
+        self.vertex_set = vertex_set
         self._adjacency = {v: tuple(ns) for v, ns in adjacency.items()}
-        self.whites = tuple([v for v in self.vertices
-                             if not (v[0] + v[1]) % 2])
-        self.blacks = tuple([v for v in self.vertices if (v[0] + v[1]) % 2])
-        self.white_count = len(self.whites)
-        self.black_count = len(self.blacks)
+        self.whites = tuple(whites)
+        self.blacks = tuple(blacks)
+        self.white_count = len(whites)
+        self.black_count = len(blacks)
+        self.diagonals = tuple(diagonals)
 
     def neighbors(self, v: Vertex):
         return self._adjacency[v]
@@ -128,14 +144,9 @@ class NormalGraph:
         return {e: e for e in self.edges}
 
     @functools.cached_property
-    def diagonals(self) -> tuple[Edge, ...]:
-        """The diagonal edges, in sorted order, found on first use.
-
-        Every edge of Gamma is a unit edge or a diagonal, and only a
-        diagonal moves both coordinates.
-        """
-        return tuple([e for e in self.edges
-                      if e[0][0] != e[1][0] and e[0][1] != e[1][1]])
+    def edge_set(self) -> frozenset:
+        """The edges as a set, built on first use."""
+        return frozenset(self.edges)
 
     def __contains__(self, v):
         return v in self.vertex_set
@@ -189,25 +200,46 @@ class Memo(dict):
         return value
 
 
-def induced_edges(vertex_set) -> list[Edge]:
-    """The edges of Gamma between vertices of vertex_set, in sorted order.
+def _induced(vset: frozenset):
+    """The subgraph of Gamma induced on vset, and its triangle count.
 
+    One walk over the sorted vertices fills every part of the graph.
     Each vertex (x, y) tries only its larger neighbours: (x, y + 1) and
     (x + 1, y), and for a white (x + 1, y - 1) and (x + 1, y + 1) too,
-    in that order.  Walking the vertices in sorted order so emits each
-    edge once, canonical, and already sorted.
+    in that order.  So each edge comes out once, canonical and in sorted
+    order, and each vertex gets its smaller neighbours, then its larger
+    ones, each ascending.  A diagonal (x, y)-(x + 1, y -+ 1) spans one
+    triangle for each of its flanking blacks (x, y -+ 1), (x + 1, y)
+    in vset.
     """
-    out = []
-    for v in sorted(vertex_set):
+    vertices = sorted(vset)
+    adjacency = {v: [] for v in vertices}
+    edges = []
+    whites = []
+    blacks = []
+    diagonals = []
+    triangles = 0
+    for v in vertices:
         x, y = v
         if (x + y) % 2:
+            blacks.append(v)
             ahead = ((x, y + 1), (x + 1, y))
         else:
+            whites.append(v)
             ahead = ((x, y + 1), (x + 1, y - 1), (x + 1, y), (x + 1, y + 1))
+        ns = adjacency[v]
         for w in ahead:
-            if w in vertex_set:
-                out.append((v, w))
-    return out
+            if w in vset:
+                e = (v, w)
+                edges.append(e)
+                ns.append(w)
+                adjacency[w].append(v)
+                if w[0] != x and w[1] != y:
+                    diagonals.append(e)
+                    triangles += ((x, w[1]) in vset) + ((w[0], y) in vset)
+    g = NormalGraph.__new__(NormalGraph)
+    g._set(vset, vertices, edges, adjacency, whites, blacks, diagonals)
+    return g, triangles
 
 
 def reach(starts, neighbors) -> set:
@@ -248,11 +280,9 @@ def _normal_graph(vset: frozenset) -> NormalGraph:
     """
     if not vset:
         raise InvalidInputError("empty vertex set")
-    g = NormalGraph(vset, induced_edges(vset))
+    g, triangles = _induced(vset)
     if len(reach(g.vertices[:1], g._adjacency.__getitem__)) != len(g):
         raise NotConnectedError("vertex set is not connected in Gamma")
-    triangles = sum([((x1, y2) in vset) + ((x2, y1) in vset)
-                     for (x1, y1), (x2, y2) in g.diagonals])
     if len(g.vertices) - len(g.edges) + triangles != 1:
         raise ComplementNotConnectedError("vertex set encloses a hole")
     return g
@@ -261,7 +291,7 @@ def _normal_graph(vset: frozenset) -> NormalGraph:
 def diagonal_edges(g: NormalGraph) -> tuple[Edge, ...]:
     """All diagonal edges of g, in sorted order.
 
-    This is g's own tuple, g.diagonals, found once per graph and shared
+    This is g's own tuple, g.diagonals, found as g is built and shared
     by every caller.
     """
     return g.diagonals
@@ -310,24 +340,6 @@ def _face_corners(f: Vertex):
     return ((x - 1, y - 1), (x + 1, y - 1), (x - 1, y + 1), (x + 1, y + 1))
 
 
-def _face_sides(f: Vertex):
-    x, y = f
-    return (edge((x - 1, y - 1), (x + 1, y - 1)),
-            edge((x - 1, y + 1), (x + 1, y + 1)),
-            edge((x - 1, y - 1), (x - 1, y + 1)),
-            edge((x + 1, y - 1), (x + 1, y + 1)))
-
-
-def _flanking_faces(h_edge: Edge):
-    """The two W1 points on either side of an edge of Lambda."""
-    (x1, y1), (x2, y2) = h_edge
-    if y1 == y2:
-        mx = (x1 + x2) // 2
-        return ((mx, y1 - 1), (mx, y1 + 1))
-    my = (y1 + y2) // 2
-    return ((x1 - 1, my), (x1 + 1, my))
-
-
 def midpoint(e: Edge) -> Vertex:
     (x1, y1), (x2, y2) = e
     return ((x1 + x2) // 2, (y1 + y2) // 2)
@@ -337,12 +349,6 @@ def flanking_blacks(diag: Edge):
     """The two black vertices adjacent to both ends of a diagonal edge."""
     (x1, y1), (x2, y2) = diag
     return ((x1, y2), (x2, y1))
-
-
-def _face_neighbors(f: Vertex):
-    """The four W1 points one face away from f."""
-    x, y = f
-    return ((x + 2, y), (x - 2, y), (x, y + 2), (x, y - 2))
 
 
 class DualGraph:
@@ -400,7 +406,12 @@ def build_region(region: Region) -> TemperleyTriple:
     """Construct H, the full dual, N and G from a Region.
 
     The region's points are read through Region.of, so a Region built
-    directly is held to the same plain-int rule.
+    directly is held to the same plain-int rule.  One walk over the
+    sorted faces visits each face's four sides and the face across
+    each: a side is an interior edge of H when the face across is in
+    the region too, and is kept once, from the lower of the two faces;
+    otherwise it is a boundary edge, whose dual edge runs to f* once f*
+    is checked.  The sides' midpoints are the blacks of G.
     """
     region = Region.of(region.faces, region.f_star, region.v_star)
     faces = region.faces
@@ -409,15 +420,37 @@ def build_region(region: Region) -> TemperleyTriple:
     face_set = frozenset(faces)
     if len(face_set) != len(faces):
         raise RegionError("duplicate faces")
+    corners = []
+    dual_edges = []                 # (lower face, upper face, side)
+    rim = []                        # boundary sides: (face, across, side)
+    links = {f: [] for f in faces}
+    blacks = []
     for f in faces:
-        if classify_vertex(f) != W1:
+        x, y = f
+        if not (x % 2 and y % 2):
             raise RegionError("face center %r is not an odd-odd point" % (f,))
-    linked = reach(faces[:1], lambda f: [w for w in _face_neighbors(f)
-                                         if w in face_set])
-    if len(linked) != len(faces):
+        sw = (x - 1, y - 1)
+        se = (x + 1, y - 1)
+        nw = (x - 1, y + 1)
+        ne = (x + 1, y + 1)
+        corners += sw, se, nw, ne
+        for across, side, mid in (((x, y - 2), (sw, se), (x, y - 1)),
+                                  ((x - 2, y), (sw, nw), (x - 1, y)),
+                                  ((x, y + 2), (nw, ne), (x, y + 1)),
+                                  ((x + 2, y), (se, ne), (x + 1, y))):
+            if across not in face_set:
+                rim.append((f, across, side))
+            elif across > f:
+                dual_edges.append((f, across, side))
+                links[f].append(across)
+                links[across].append(f)
+            else:
+                continue            # kept from the lower face
+            blacks.append(mid)
+    if len(reach(faces[:1], links.__getitem__)) != len(faces):
         raise RegionError("faces are not connected")
-    h_vertices = frozenset(c for f in faces for c in _face_corners(f))
-    h_edges = frozenset(s for f in faces for s in _face_sides(f))
+    h_vertices = frozenset(corners)
+    h_edges = frozenset([d[2] for d in dual_edges] + [d[2] for d in rim])
     if len(h_vertices) - len(h_edges) + len(faces) != 1:
         raise RegionError("faces enclose a hole")
 
@@ -427,42 +460,34 @@ def build_region(region: Region) -> TemperleyTriple:
     if f_star in face_set:
         raise InvalidFStarError("f* lies inside the region")
 
-    dual_edges = []
-    l_edges = []
-    for e in h_edges:
-        p, q = _flanking_faces(e)
-        inside = [f for f in (p, q) if f in face_set]
-        if len(inside) == 2:
-            dual_edges.append((min(inside), max(inside), e))
-        else:
-            outer = p if q in face_set else q
-            dual_edges.append((inside[0], f_star, e))
-            if outer == f_star:
-                l_edges.append(e)
+    l_edges = [side for _, across, side in rim if across == f_star]
     if not 1 <= len(l_edges) <= 3:
         raise InvalidFStarError(
             "f* must touch the region through 1 to 3 dual lattice edges, "
             "got %d" % len(l_edges))
-    if (len(h_vertices.union(_face_corners(f_star)))
-            - len(h_edges.union(_face_sides(f_star))) + len(faces) + 1 != 1):
+    # adding f* as a face adds its corners outside H and its sides other
+    # than the l-edges
+    f_corners = _face_corners(f_star)
+    new_corners = sum([c not in h_vertices for c in f_corners])
+    if (len(h_vertices) + new_corners - (len(h_edges) + 4 - len(l_edges))
+            + len(faces) + 1 != 1):
         raise InvalidFStarError("f* pinches off a hole")
+    dual_edges += [(f, f_star, side) for f, _, side in rim]
     h_perp = DualGraph(faces, f_star, dual_edges, l_edges)
 
     v_star = region.v_star
     if v_star not in h_vertices:
         raise InvalidVStarError("v* is not a vertex of H")
-    if edge(v_star, f_star) not in {edge(f_star, c)
-                                    for c in _face_corners(f_star)}:
+    if v_star not in f_corners:
         raise InvalidVStarError("v* is not diagonally adjacent to f*")
 
-    blacks = frozenset(midpoint(e) for e in h_edges)
-    g_vertices = h_vertices | face_set | {f_star} | blacks
+    g_vertices = h_vertices.union(faces, (f_star,), blacks)
 
     # The two diagonal edges at f* with a flanking black outside G are
     # the only boundary diagonals of G; e*1 = {f*, v*} must be one of
     # them or the impurity cannot always be driven onto it.
     boundary = []
-    for c in _face_corners(f_star):
+    for c in f_corners:
         if c not in h_vertices:
             continue
         d = edge(f_star, c)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from octadimer.lattice import Region, build_region
 from octadimer.render import render_covering
 from octadimer.temperley import initial_covering
 
+from test_kirchhoff import LADDER
 from test_sampler import reference_run
 
 ELL = {"faces": [[1, 1], [1, 3], [3, 1]], "f_star": [3, 3], "v_star": [2, 4]}
@@ -398,9 +400,14 @@ json_leaves = (st.none() | st.booleans() | st.integers()
                | st.integers(-2 ** 200, 2 ** 200) | st.floats()
                | st.sampled_from([-0.0, 1e-7, 1e16, 0.1])
                | st.text() | st.text(st.characters(max_codepoint=0x20)))
+# pairs, most of them points of two plain ints, which the writer
+# formats from its point template
+json_pairs = st.lists(st.integers() | st.booleans() | st.floats(),
+                      min_size=2, max_size=2)
 json_values = st.recursive(
     json_leaves,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(json_pairs | json_pairs.map(tuple))
                    | st.dictionaries(st.text(), inner)),
     max_leaves=30)
 
@@ -408,6 +415,26 @@ json_values = st.recursive(
 @given(json_values)
 def test_writer_matches_indented_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    [True, 1], [1, False], [2 ** 70, -3], [1, 2.0], (1, 2),
+    [[1, 2], [3, 4]], [[True, 1], [1, False]], [[2 ** 70, -3], (1, 2)],
+    [[1, 2.0], [1, 2, 3], [1], []], {"p": [[1, 2]], "q": [1, 2]},
+    [{"edge": [[0, 0], [1, 1]]}, [[-1, 0], [0, -1]]]])
+def test_writer_point_template_edge_cases(obj):
+    # only a pair of plain ints inside a list takes the point template;
+    # bools, floats and other lengths are written item by item
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_prob_strings_equal_fraction_strings():
+    for region in LADDER:
+        p = kirchhoff.region_counts(build_region(region))
+        for d in (p.det, p.total):
+            for n in list(p.counts.values()) + [0, d]:
+                assert cli._ratio(n, d) == str(Fraction(n, d))
+    assert cli._ratio(0, 1) == "0" and cli._ratio(1, 1) == "1"
 
 
 def test_library_error_exits_2(capsys, monkeypatch, ell_file):

@@ -307,6 +307,17 @@ def test_hand_built_rows_rejected(neighbors, b):
         assert not isinstance(err.value, SingularSystemError)
 
 
+@pytest.mark.parametrize("d_star", ["x", -9, 2.5, True])
+def test_hand_built_d_star_rejected(d_star):
+    # each used to reach the total: "x" raised an untyped TypeError, -9
+    # gave a total of -100, 2.5 one of 72.5 and True one of 50
+    sys = LaplacianSystem(order=((1, 1), (3, 1)), neighbors=((1,), (0,)),
+                          b=(0, 1), d_star=d_star)
+    for call in (tree_count, solve_p):
+        with pytest.raises(InvalidInputError, match="^d_star = "):
+            call(sys)
+
+
 @pytest.mark.parametrize("order", [
     ((1, 1), "a"),                    # not comparable: the faces are sorted
     ((1, 1), [1, 3]),                 # not hashable

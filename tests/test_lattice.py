@@ -1,18 +1,29 @@
-"""Vertex classes, normal-graph validation, and region construction."""
+"""Vertex classes, normal-graph validation, and region construction.
 
+build_region makes one walk over the sorted faces and one over G's
+sorted vertices.  reference_build_region is the multi-pass construction
+it replaced, kept here as the reference: every side of every face, each
+side's flanking faces looked up afterwards, the face links found by a
+search, and G's edges taken from Gamma's definition and sorted by the
+general NormalGraph constructor.  The two must agree field by field on
+valid regions and fail with the same exception class and message on
+invalid ones.
+"""
+
+import json
 import time
 
 import pytest
 
 from octadimer.lattice import (
-    BLACK, W0, W1, ComplementNotConnectedError, InvalidFStarError,
-    InvalidInputError, InvalidVStarError, Memo, NormalGraph,
-    NotConnectedError, Region, RegionError,
+    BLACK, W0, W1, ComplementNotConnectedError, DualGraph,
+    InvalidFStarError, InvalidInputError, InvalidVStarError, Memo,
+    NormalGraph, NotConnectedError, Region, RegionError, TemperleyTriple,
     build_normal_graph, build_region, classify_vertex, diagonal_edges,
-    edge, ell_region, induced_edges, is_diagonal_edge, midpoint, per_graph,
-    reach, strip_region)
+    edge, ell_region, flanking_blacks, is_diagonal_edge, midpoint,
+    per_graph, reach, strip_region)
 
-from test_kirchhoff import square_region
+from test_kirchhoff import inputs, polyomino_region, square_region
 
 
 # Reference geometry of Gamma, stated from its definition; the library
@@ -51,9 +62,7 @@ def check_graph_construction(tri):
     g = tri.g
     want = {(v, w) for v in g.vertex_set for w in gamma_neighbors(v)
             if w in g.vertex_set and v < w}
-    got = induced_edges(g.vertex_set)
-    assert got == sorted(want)
-    assert g.edges == tuple(got)
+    assert g.edges == tuple(sorted(want))
     for v in g.vertices:
         ns = g.neighbors(v)
         assert list(ns) == sorted(ns) == sorted(
@@ -102,6 +111,156 @@ def staircase(m):
              + [(2 * i + 3, 2 * i + 1) for i in range(m)]
              + [(2 * m + 1, 2 * m + 1)])
     return Region.of(faces, (2 * m + 3, 2 * m + 1), (2 * m + 2, 2 * m + 2))
+
+
+def _corners(f):
+    x, y = f
+    return ((x - 1, y - 1), (x + 1, y - 1), (x - 1, y + 1), (x + 1, y + 1))
+
+
+def _sides(f):
+    x, y = f
+    return (edge((x - 1, y - 1), (x + 1, y - 1)),
+            edge((x - 1, y + 1), (x + 1, y + 1)),
+            edge((x - 1, y - 1), (x - 1, y + 1)),
+            edge((x + 1, y - 1), (x + 1, y + 1)))
+
+
+def _flanking_faces(h_edge):
+    """The two W1 points on either side of an edge of Lambda."""
+    (x1, y1), (x2, y2) = h_edge
+    if y1 == y2:
+        mx = (x1 + x2) // 2
+        return ((mx, y1 - 1), (mx, y1 + 1))
+    my = (y1 + y2) // 2
+    return ((x1 - 1, my), (x1 + 1, my))
+
+
+def reference_normal_graph(vset):
+    """G on vset by Gamma's definition, with the hole check by cells."""
+    if not vset:
+        raise InvalidInputError("empty vertex set")
+    g = NormalGraph(vset, {(v, w) for v in vset for w in gamma_neighbors(v)
+                           if w in vset and v < w})
+    if len(reach(g.vertices[:1], g.neighbors)) != len(g):
+        raise NotConnectedError("vertex set is not connected in Gamma")
+    triangles = sum([((x1, y2) in vset) + ((x2, y1) in vset)
+                     for (x1, y1), (x2, y2) in g.edges
+                     if is_diagonal_edge(((x1, y1), (x2, y2)))])
+    if len(g.vertices) - len(g.edges) + triangles != 1:
+        raise ComplementNotConnectedError("vertex set encloses a hole")
+    return g
+
+
+def reference_build_region(region):
+    """The multi-pass construction of H, the full dual and G, with every
+    check of build_region in the same order."""
+    region = Region.of(region.faces, region.f_star, region.v_star)
+    faces = region.faces
+    if not faces:
+        raise RegionError("region has no faces")
+    face_set = frozenset(faces)
+    if len(face_set) != len(faces):
+        raise RegionError("duplicate faces")
+    for f in faces:
+        if classify_vertex(f) != W1:
+            raise RegionError("face center %r is not an odd-odd point" % (f,))
+    linked = reach(faces[:1], lambda f: [w for w in face_neighbors(f)
+                                         if w in face_set])
+    if len(linked) != len(faces):
+        raise RegionError("faces are not connected")
+    h_vertices = frozenset(c for f in faces for c in _corners(f))
+    h_edges = frozenset(s for f in faces for s in _sides(f))
+    if len(h_vertices) - len(h_edges) + len(faces) != 1:
+        raise RegionError("faces enclose a hole")
+
+    f_star = region.f_star
+    if classify_vertex(f_star) != W1:
+        raise InvalidFStarError("f* must be an odd-odd point")
+    if f_star in face_set:
+        raise InvalidFStarError("f* lies inside the region")
+    dual_edges = []
+    l_edges = []
+    for e in h_edges:
+        p, q = _flanking_faces(e)
+        inside = [f for f in (p, q) if f in face_set]
+        if len(inside) == 2:
+            dual_edges.append((min(inside), max(inside), e))
+        else:
+            outer = p if q in face_set else q
+            dual_edges.append((inside[0], f_star, e))
+            if outer == f_star:
+                l_edges.append(e)
+    if not 1 <= len(l_edges) <= 3:
+        raise InvalidFStarError(
+            "f* must touch the region through 1 to 3 dual lattice edges, "
+            "got %d" % len(l_edges))
+    if (len(h_vertices.union(_corners(f_star)))
+            - len(h_edges.union(_sides(f_star))) + len(faces) + 1 != 1):
+        raise InvalidFStarError("f* pinches off a hole")
+    h_perp = DualGraph(faces, f_star, dual_edges, l_edges)
+
+    v_star = region.v_star
+    if v_star not in h_vertices:
+        raise InvalidVStarError("v* is not a vertex of H")
+    if edge(v_star, f_star) not in {edge(f_star, c)
+                                    for c in _corners(f_star)}:
+        raise InvalidVStarError("v* is not diagonally adjacent to f*")
+    blacks = frozenset(midpoint(e) for e in h_edges)
+    g_vertices = h_vertices | face_set | {f_star} | blacks
+    boundary = []
+    for c in _corners(f_star):
+        if c not in h_vertices:
+            continue
+        d = edge(f_star, c)
+        if any(b not in g_vertices for b in flanking_blacks(d)):
+            boundary.append(d)
+    if len(boundary) != 2:
+        raise InvalidFStarError(
+            "expected exactly 2 boundary diagonals at f*, got %d"
+            % len(boundary))
+    e_star1 = edge(f_star, v_star)
+    if e_star1 not in boundary:
+        raise InvalidVStarError(
+            "{f*, v*} is an interior diagonal; v* must sit on the "
+            "boundary of G")
+    e_star2 = boundary[0] if boundary[1] == e_star1 else boundary[1]
+    g = reference_normal_graph(g_vertices)
+    if g.white_count - 2 != g.black_count:
+        raise RegionError("N is not balanced; region construction is broken")
+    return TemperleyTriple(region, h_vertices, h_edges, h_perp, g,
+                           e_star1, e_star2)
+
+
+def assert_same_construction(region):
+    """build_region and reference_build_region give equal triples, or
+    raise the same exception class with the same message."""
+    try:
+        want = reference_build_region(region)
+    except InvalidInputError as exc:
+        with pytest.raises(type(exc)) as got:
+            build_region(region)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    tri = build_region(region)
+    assert tri.region == want.region
+    assert tri.h_vertices == want.h_vertices
+    assert tri.h_edges == want.h_edges
+    hp, want_hp = tri.h_perp, want.h_perp
+    assert hp.faces == want_hp.faces and hp.vertices == want_hp.vertices
+    assert hp.dual_edges == want_hp.dual_edges
+    assert hp.l_edges == want_hp.l_edges and hp.d_star == want_hp.d_star
+    assert (tri.e_star1, tri.e_star2) == (want.e_star1, want.e_star2)
+    g, want_g = tri.g, want.g
+    assert g.vertices == want_g.vertices
+    assert g.vertex_set == want_g.vertex_set
+    assert g.edges == want_g.edges and g.edge_set == want_g.edge_set
+    assert all(g.neighbors(v) == want_g.neighbors(v) for v in g.vertices)
+    assert g.whites == want_g.whites and g.blacks == want_g.blacks
+    assert (g.white_count, g.black_count) == (want_g.white_count,
+                                              want_g.black_count)
+    assert g.diagonals == want_g.diagonals
 
 
 def test_vertex_classes():
@@ -373,3 +532,64 @@ def test_memo_builds_each_key_once():
     assert memo[1] is first and memo[2] is memo[2] and calls == [1, 2]
     assert memo == {1: [1], 2: [2]} and memo.build is build
     assert 3 not in memo and memo.get(3) is None and calls == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "region",
+    [strip_region(n) for n in range(1, 9)] + [ell_region()]
+    + [square_region(k) for k in range(2, 17)]
+    + [polyomino_region(seed, 5 + 3 * seed) for seed in range(40)],
+    ids=(["strip%d" % n for n in range(1, 9)] + ["ell"]
+         + ["square%d" % k for k in range(2, 17)]
+         + ["polyomino%d" % seed for seed in range(40)]))
+def test_build_region_matches_reference(region):
+    assert_same_construction(region)
+
+
+RING = [(1, 1), (3, 1), (5, 1), (1, 3), (5, 3), (1, 5), (3, 5), (5, 5)]
+CEE = [(1, 1), (3, 1), (5, 1), (5, 3), (5, 5), (3, 5), (1, 5)]
+INVALID_REGIONS = [
+    Region(faces=(), f_star=(3, 3), v_star=(2, 4)),
+    Region(faces=5, f_star=(3, 3), v_star=(2, 4)),
+    Region(faces=((True, 1),), f_star=(3, 1), v_star=(2, 2)),
+    Region(faces=((1, 1), (3, 1), (1, 1)), f_star=(5, 1), v_star=(4, 2)),
+    Region.of([(0, 0)], (3, 3), (2, 4)),
+    Region.of([(1, 1), (2, 2)], (3, 3), (2, 4)),
+    Region.of([(1, 1), (5, 1)], (3, 3), (2, 4)),
+    Region.of(RING, (7, 1), (6, 2)),
+    Region.of([(1, 1)], (2, 2), (2, 2)),
+    Region.of([(1, 1)], (1, 1), (2, 2)),
+    Region.of([(1, 1)], (7, 7), (2, 2)),
+    Region.of([(1, 1)], (8001, 8001), (8000, 8000)),
+    Region.of(CEE, (1, 3), (0, 2)),
+    Region.of([(1, 1)], (3, 1), (0, 0)),
+    Region.of([(1, 1)], (3, 1), (3, 1)),
+    Region.of([(1, 1)], (3, 1), (4, 0)),
+    Region.of([(1, 1), (3, 1)], (3, 3), (0, 2)),
+    Region.of([(1, 1), (1, 3), (3, 3)], (3, 1), (2, 2)),
+    Region.of([(1, 1), (3, 1), (1, 3), (1, 5), (3, 5)], (3, 3), (2, 2)),
+]
+
+
+def perfbench_invalid_regions():
+    """The invalid region files of perfbench's exact workload that parse
+    and name all three keys, as Regions."""
+    out = []
+    for seed in range(1, 6):
+        for text in inputs.invalid_files(seed).values():
+            try:
+                obj = json.loads(text)
+                out.append(Region(obj["faces"], obj["f_star"],
+                                  obj["v_star"]))
+            except (ValueError, KeyError):
+                continue
+    return out
+
+
+@pytest.mark.parametrize("region",
+                         INVALID_REGIONS + perfbench_invalid_regions())
+def test_invalid_regions_fail_as_the_reference_does(region):
+    with pytest.raises(InvalidInputError):
+        reference_build_region(region)
+    assert_same_construction(region)
+

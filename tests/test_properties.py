@@ -41,9 +41,9 @@ from octadimer.temperley import initial_covering
 from strategies import regions
 from test_cli import STRIP1
 from test_kirchhoff import assert_matches_reference
-from test_lattice import (check_graph_construction, face_neighbors,
-                          flood_has_hole, gamma_neighbors, is_black,
-                          is_white)
+from test_lattice import (assert_same_construction, check_graph_construction,
+                          face_neighbors, flood_has_hole, gamma_neighbors,
+                          is_black, is_white)
 from test_moves import move_back, reference_t_class
 from test_slits import reference_slit_curves
 
@@ -215,6 +215,26 @@ def test_region_hole_checks_match_flood(component, data):
         message = str(exc)
     assert (message == "faces enclose a hole") == hole
     assert (message == "f* pinches off a hole") == pinch
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(regions(max_steps=12))
+def test_build_region_matches_reference_on_random_regions(tri):
+    assert_same_construction(tri.region)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(box_components(face_neighbors, 2), st.data())
+def test_build_region_fails_as_the_reference_does(component, data):
+    # f* is cut out of a connected set and v* is one of its corners or
+    # f* itself, so most of these regions are invalid, at every check
+    f_star = data.draw(st.sampled_from(sorted(component)))
+    x, y = f_star
+    v_star = data.draw(st.sampled_from([
+        (x - 1, y - 1), (x + 1, y - 1), (x - 1, y + 1), (x + 1, y + 1),
+        f_star]))
+    assert_same_construction(Region.of(component - {f_star}, f_star,
+                                       v_star))
 
 
 json_values = st.recursive(
