@@ -81,10 +81,10 @@ def main(argv=None):
     clis = [importlib.import_module(s.__name__ + ".cli") for s in sides]
     lattices = [importlib.import_module(s.__name__ + ".lattice")
                 for s in sides]
-    lat = lattices[1]
-    regions = ([("strip%d" % n, lat.strip_region(n)) for n in range(1, 9)]
-               + [("ell", lat.ell_region())]
-               + [("square%d" % k, square_region(lat, k))
+    after = lattices[1]
+    regions = ([("strip%d" % n, after.strip_region(n)) for n in range(1, 9)]
+               + [("ell", after.ell_region())]
+               + [("square%d" % k, square_region(after, k))
                   for k in (4, 8, 12, 16)])
     ok = True
     records = []

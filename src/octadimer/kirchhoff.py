@@ -187,8 +187,9 @@ def eliminate(sys: LaplacianSystem):
 def _check_rows(sys: LaplacianSystem, n: int):
     """Reject rows, or a d_star, that build_system cannot make.
 
-    d_star counts l-edges, so it is a plain non-negative int.  Rows of at most four distinct neighbors in range(n), none the row
-    itself, with j in row i exactly when i is in row j, make A symmetric
+    d_star counts l-edges, so it is a plain non-negative int.  Rows of
+    at most four distinct neighbors in range(n), none the row itself,
+    with j in row i exactly when i is in row j, make A symmetric
     and diagonally dominant, so positive semidefinite: a zero leading
     minor then means det A = 0, and the elimination needs no swaps.
     eliminate relies on that symmetry: it reads the rows each step

@@ -227,7 +227,8 @@ def test_build_region_matches_reference_on_random_regions(tri):
 @given(box_components(face_neighbors, 2), st.data())
 def test_build_region_fails_as_the_reference_does(component, data):
     # f* is cut out of a connected set and v* is one of its corners or
-    # f* itself, so most of these regions are invalid, at every check
+    # f* itself, so most of these regions fail, at one check or another:
+    # split or holed faces, v* off H, {f*, v*} an interior diagonal
     f_star = data.draw(st.sampled_from(sorted(component)))
     x, y = f_star
     v_star = data.draw(st.sampled_from([
