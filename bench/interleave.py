@@ -3,14 +3,18 @@
     python3 bench/interleave.py BEFORE_SRC AFTER_SRC [--rounds N]
 
 loads the octadimer package under each src/ directory under a name of
-its own and, on strips n = 1..8, the L-region and bench/ladder.py's
-k x k squares, k = 4, 8, 12, 16, times three things on
+its own and, on strips n = 1..8, the L-region, bench/ladder.py's k x k
+squares, k = 4, 8, 12, 16, and the 60-face polyominoes of the
+benchmark's `exact` workload at seeds 1 to 3, times five things on
 both, call by call in turn, the side that goes first alternating from
-round to round: lattice.build_region, cli._json_text on the region's
-`prob` answer, and the whole `prob` command in process, stdout
-captured.  Each time is the median of N rounds (default 41).  Both
-sides must print the same `prob` bytes, and each writer must give back
-those bytes from the parsed answer; the exit status is 1 if not.
+round to round: lattice.build_region, kirchhoff.eliminate on the
+region's system, the `exact` workload's count op (build_region,
+build_system, tree_count and total_coverings), cli._json_text on the
+region's `prob` answer, and the whole `prob` command in process,
+stdout captured.  Each time is the median of N rounds (default 41).
+Both sides must give the same det A and counts and print the same
+`prob` bytes, and each writer must give back those bytes from the
+parsed answer; the exit status is 1 if not.
 
 Timing both sides in one process, interleaved, keeps them on one
 machine speed: separate processes on a shared machine can run at
@@ -51,6 +55,23 @@ def square_region(lat, k):
                           for j in range(k)], (2 * k + 1, 1), (2 * k, 2))
 
 
+def polyomino_region(lat, seed):
+    """The 60-face polyomino the `exact` workload counts at this seed."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    obj = inputs.polyomino(inputs.rng_for(seed, "total"), 60)
+    return lat.Region.of(obj["faces"], obj["f_star"], obj["v_star"])
+
+
+def count(lat, kir, region):
+    """The `exact` workload's count op on region."""
+    tri = lat.build_region(region)
+    return (kir.tree_count(kir.build_system(tri.h_perp)),
+            kir.total_coverings(tri))
+
+
 def prob(cli, path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -81,11 +102,15 @@ def main(argv=None):
     clis = [importlib.import_module(s.__name__ + ".cli") for s in sides]
     lattices = [importlib.import_module(s.__name__ + ".lattice")
                 for s in sides]
+    kirchhoffs = [importlib.import_module(s.__name__ + ".kirchhoff")
+                  for s in sides]
     after = lattices[1]
     regions = ([("strip%d" % n, after.strip_region(n)) for n in range(1, 9)]
                + [("ell", after.ell_region())]
                + [("square%d" % k, square_region(after, k))
-                  for k in (4, 8, 12, 16)])
+                  for k in (4, 8, 12, 16)]
+               + [("poly60-%d" % seed, polyomino_region(after, seed))
+                  for seed in (1, 2, 3)])
     ok = True
     records = []
     with tempfile.TemporaryDirectory() as workdir:
@@ -99,12 +124,23 @@ def main(argv=None):
             obj = json.loads(stdout[0])
             ok &= (stdout[0] == stdout[1] and all(
                 cli._json_text(obj) + "\n" == stdout[0] for cli in clis))
+            own = [lat.Region.of(region.faces, region.f_star, region.v_star)
+                   for lat in lattices]
+            systems = [kir.build_system(lat.build_region(r).h_perp)
+                       for lat, kir, r in zip(lattices, kirchhoffs, own)]
+            solved = [kir.eliminate(system)
+                      for kir, system in zip(kirchhoffs, systems)]
+            ok &= solved[0] == solved[1]
             record = {"name": name}
             for layer, fns in (
-                    ("build_region", [
-                        lambda lat=lat, r=lat.Region.of(
-                            region.faces, region.f_star, region.v_star):
-                        lat.build_region(r) for lat in lattices]),
+                    ("build_region", [lambda lat=lat, r=r: lat.build_region(r)
+                                      for lat, r in zip(lattices, own)]),
+                    ("eliminate", [
+                        lambda kir=kir, system=system: kir.eliminate(system)
+                        for kir, system in zip(kirchhoffs, systems)]),
+                    ("count", [lambda lat=lat, kir=kir, r=r: count(lat, kir, r)
+                               for lat, kir, r in zip(lattices, kirchhoffs,
+                                                      own)]),
                     ("emit", [lambda cli=cli: cli._json_text(obj)
                               for cli in clis]),
                     ("prob", [lambda cli=cli: prob(cli, path)

@@ -50,13 +50,17 @@ trees, and whose forest pairs each split G's whites into trees.
 `selftest` exits 0.
 
 On each square it also replays eliminate's pivot pattern with no
-integers: which entries each step stores, updates and brings up, and
-the step each was last brought to.  The replay gives exact counts of
-the entry updates and bring-ups (see kirchhoff.eliminate) the solve
-makes in build_system's order.  After the ladder come the solve-only
-rungs, k x k squares too large for the rest of the ladder (k = 32):
+integers: which entries each step stores, updates and brings up, the
+scale each is over, and which parts are set aside and joined.  The
+replay gives exact counts of the entry updates, bring-ups and join
+products (see kirchhoff._triangulate) the solve makes in build_system's
+order.  Each square also reports the median and largest bit size of
+the entries the elimination stores (pivots, entries and column n of
+its triangular system).  After the ladder come the solve-only rungs,
+k x k squares too large for the rest of the ladder (k = 32 and 48):
 build_region, build_system and eliminate timed, the replay counted,
-det A checked against square_det and the counts by A N = |det A| b.
+the bit sizes read, det A checked against square_det and the counts
+by A N = |det A| b.
 
 Stdlib only; it imports octadimer from the path, so
 
@@ -68,15 +72,16 @@ nproc, the library's git commit and whether its tree is dirty, a hash
 of its sources and a hash of the ladder), the selftest record and one
 record per region.
 --quick runs strips 1..8, the L-region and squares 4 and 8 once, with
-12 x 12 and 16 x 16 as solve-only rungs, whose nested-dissection order
-has two or more separator levels.  The exit status is 1 if any check
-fails.
+12 x 12, 16 x 16 and 24 x 24 as solve-only rungs, whose
+nested-dissection order has two or more separator levels.  The exit
+status is 1 if any check fails.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -98,14 +103,15 @@ from octadimer import (ChainConfig, Region, build_region, build_system,
                        tree_count, validate_covering)
 from octadimer.cli import _json_text, main as cli_main
 from octadimer.covering import CoveringError
+from octadimer import kirchhoff
 from octadimer.kirchhoff import eliminate
 from octadimer.render import render_covering
 
 STRIPS = range(1, 9)
 SQUARES = (4, 8, 12, 16, 24)
 QUICK_SQUARES = (4, 8)
-SOLVE_ONLY = (32,)
-QUICK_SOLVE_ONLY = (12, 16)
+SOLVE_ONLY = (32, 48)
+QUICK_SOLVE_ONLY = (12, 16, 24)
 REPEATS = 5
 CHAIN = ChainConfig(seed=1, steps=20000)
 SAMPLE_EVERY = 100
@@ -181,32 +187,84 @@ def square_det(k):
 
 
 def replay(system):
-    """Entry updates and bring-ups of eliminate(system), from its pivot
-    pattern alone.
+    """Entry updates, bring-ups and join products of eliminate(system),
+    from its pivot pattern alone.
 
-    Each row keeps its stored columns and the step each entry was last
-    brought to, as eliminate does, but no entry.  Step k brings up the
-    pivot row's entries below level k, then updates each row i > k in
-    the pivot row at the pivot row's columns from i on, bringing up
-    those it finds below level k; a column it does not find is filled
-    in.
+    It follows kirchhoff._triangulate with no integers: rows are built
+    from A when first touched and hold, per stored column, a tag for the
+    scale the entry is over (0 for A's own scale 1, a fresh tag per
+    pivot and per join).  Step k brings up the pivot row's entries not
+    over the scale it divides by, then updates each row i > k in the
+    pivot row at the pivot row's columns from i on, bringing up those it
+    finds over another scale; a column it does not find is filled in.
+    A root whose parent is not the next row sets its part aside, with
+    the rows of its later columns, until its parent, where each entry
+    the continuing part also holds costs two join products.
     """
     n = len(system.order)
-    rows = [dict.fromkeys([j for j in adj if j > i] + [i] + [n] * b, 0)
-            for i, (adj, b) in enumerate(zip(system.neighbors, system.b))]
-    updates = bring_ups = 0
+    adj, b = system.neighbors, system.b
+    tags = itertools.count(1)
+
+    def a_row(i):
+        return dict.fromkeys([j for j in adj[i] if j > i] + [i] + [n] * b[i],
+                             0)
+    rows = [None] * n
+    waiting = {}
+    updates = bring_ups = products = 0
+    scale = 0
     for k in range(n):
-        bring_ups += sum(level < k for level in rows[k].values())
-        top = sorted(j for j in rows[k] if j != k)
+        for part, root in waiting.pop(k, ()):
+            scale = root if scale == 0 else next(tags)
+            for i, theirs in part.items():
+                mine = rows[i]
+                if mine is None:
+                    rows[i] = theirs
+                    continue
+                for j, tag in theirs.items():
+                    if j in mine:
+                        products += 2
+                        tag = scale
+                    mine[j] = tag
+        row = rows[k] or a_row(k)
+        bring_ups += sum(tag != scale for tag in row.values())
+        top = sorted(j for j in row if j != k)
+        pivot = next(tags)
         for p, i in enumerate(top):
             if i == n:
                 break
+            if rows[i] is None:
+                rows[i] = a_row(i)
             row = rows[i]
             for j in top[p:]:
-                bring_ups += row.get(j, k) < k
-                row[j] = k + 1
+                bring_ups += row.get(j, scale) != scale
+                row[j] = pivot
             updates += len(top) - p
-    return {"entry_updates": updates, "bring_ups": bring_ups}
+        parent = top[0] if top else n
+        if parent == k + 1 < n:
+            scale = pivot
+            continue
+        if parent < n:
+            part = {}
+            for i in top[:-1] if top[-1] == n else top:
+                part[i], rows[i] = rows[i], None
+            waiting.setdefault(parent, []).append((part, pivot))
+        scale = 0
+    return {"entry_updates": updates, "bring_ups": bring_ups,
+            "join_products": products}
+
+
+def entry_bits(system):
+    """Median and largest bit size of the entries eliminate stores in the
+    triangular system it solves (pivots, entries and column n), or None
+    from a library without kirchhoff._triangulate."""
+    triangulate = getattr(kirchhoff, "_triangulate", None)
+    if triangulate is None:
+        return {"entry_bits_median": None, "entry_bits_max": None}
+    _, rows = triangulate(system, len(system.order))
+    bits = [x.bit_length() for pivot, top in rows
+            for x in [pivot] + [y for _, y in top]]
+    return {"entry_bits_median": statistics.median(bits),
+            "entry_bits_max": max(bits)}
 
 
 def forests_span(fp, g):
@@ -366,7 +424,7 @@ def measure(name, region, repeats, workdir):
     if name.startswith("square"):
         record["square_det_ok"] = det == square_det(
             math.isqrt(len(region.faces)))
-        record.update(replay(system))
+        record.update(replay(system), **entry_bits(system))
         t_sample, record["sample_ok"] = sample_command(path, tri.g, repeats)
         record["seconds"]["sample"] = t_sample
     if name == "ell":
@@ -393,8 +451,9 @@ def measure(name, region, repeats, workdir):
 
 def measure_solve(k, repeats):
     """The solve alone on the k x k square: build_region, build_system
-    and eliminate timed, the replay counted, det A checked against
-    square_det and the counts by residual_ok."""
+    and eliminate timed, the replay counted, the stored entries' bit
+    sizes read, det A checked against square_det and the counts by
+    residual_ok."""
     region = square_region(k)
     t_region, tri = median_time(lambda: build_region(region), repeats)
     t_system, system = median_time(lambda: build_system(tri.h_perp), repeats)
@@ -403,6 +462,7 @@ def measure_solve(k, repeats):
             "det_bits": det.bit_length(), "det": str(det),
             "square_det_ok": det == square_det(k),
             "residual_ok": residual_ok(tri), **replay(system),
+            **entry_bits(system),
             "seconds": {"build_region": t_region, "build_system": t_system,
                         "eliminate": t_eliminate}}
 
@@ -445,7 +505,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
                         help="strips 1..8, the L-region and squares 4, 8, "
-                        "solve-only squares 12, 16, one repeat")
+                        "solve-only squares 12, 16, 24, one repeat")
     args = parser.parse_args(argv)
     repeats = 1 if args.quick else REPEATS
     regions = ladder(args.quick)

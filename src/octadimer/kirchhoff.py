@@ -24,8 +24,10 @@ per region (eliminate, called once by solve_p) yields |det A| and
 |det A| p together, and the integers |det A| p_v are the per-edge
 counts themselves.  build_system puts the faces in coordinate nested-
 dissection order (George 1973, "Nested dissection of a regular finite
-element mesh"), which keeps the elimination's fill low, and eliminate
-rescales an entry only when a step touches it.  solve_p returns the
+element mesh"), which keeps the elimination's fill low; eliminate
+eliminates each independent part with its own pivot chain, joins parts
+over the product of their determinants where they meet, and rescales
+an entry only when a step touches it.  solve_p returns the
 counts with the total as one Solution, over the faces in sorted order;
 region_counts adds f* with p_f* = 1.  Fraction appears only where a
 probability is read out: a Solution's items and impurity_probability.
@@ -113,75 +115,157 @@ def build_system(hp) -> LaplacianSystem:
 def eliminate(sys: LaplacianSystem):
     """|det A| and the integers N = |det A| p over sys.order.
 
-    One fraction-free (Bareiss) elimination of the augmented matrix
-    [A | b] with no row swaps, pivoting in sys.order: a built A is
-    symmetric, diagonally dominant and nonsingular, so positive definite,
-    and every pivot (a leading principal minor) is positive.  Rows
-    build_system cannot make raise InvalidInputError; a zero pivot, which
-    only a singular hand-built system can give, raises
-    SingularSystemError.
-
-    Every entry of the partly eliminated A is a minor, symmetric in its
-    row and column because A is, so a row stores only its columns on or
-    right of the diagonal, and column n.  Step k updates exactly the
-    rows i > k with column k, which by symmetry are the columns j < n
-    of pivot row k, whose entry at column i is row i's factor; no face
-    order is assumed.  Row i takes the pivot row, sorted by column, from
-    column i on.
-
-    An entry that step k does not update would only be rescaled by
-    pivot/prev.  Instead each stored entry keeps the step it was last
-    brought to, its level, and is brought up, x * piv[k] // piv[level],
-    only when a step touches it: when a pivot row's update reaches it,
-    or, for a row's remaining entries, once when that row becomes the
-    pivot row.  The skipped rescales telescope, so the division is
-    exact.  In build_system's order this costs 6 234 entry updates and
-    1 092 bring-ups on 12 x 12, and 185 649 and 15 242 on 32 x 32, where
-    lexicographic order, rescaling every untouched entry of an updated
-    row, took 12 147 and 554 117 big-integer operations.
-
-    Row k as it stands at step k is row k of the triangular U p = c the
-    elimination leaves, so N_k = (|D| c_k - sum_{j>k} U_kj N_j) / U_kk,
-    exact by Cramer's rule with D = det A the last pivot.
+    Rows build_system cannot make raise InvalidInputError; a zero pivot,
+    which only a singular hand-built system can give, raises
+    SingularSystemError.  _triangulate leaves the triangular U p = c,
+    one row per face, each over its own part's denominator: a factor
+    common to the whole row, which cancels.  So N_k = (|D| c_k -
+    sum_{j>k} U_kj N_j) / U_kk, exact by Cramer's rule with D = det A.
     """
     n = len(sys.order)
     _check_rows(sys, n)
-    rows = []                     # row i: column -> (entry, level)
-    for i, (adj, b) in enumerate(zip(sys.neighbors, sys.b)):
-        row = {j: (-1, 0) for j in adj if j > i}
-        row[i] = (4, 0)
-        if b:
-            row[n] = (b, 0)       # column n holds b
-        rows.append(row)
-    piv = [1]                     # piv[k]: pivot of step k - 1, divisor at k
-    for k in range(n):
-        prev = piv[k]
-        top = sorted([(j, x if level == k else x * prev // piv[level])
-                      for j, (x, level) in rows[k].items()])
-        pivot = top.pop(0)[1]     # column k, the row's first
-        if not pivot:
-            raise SingularSystemError("negative Laplacian is singular")
-        rows[k] = (pivot, top)    # row k of U, final
-        piv.append(pivot)
-        for p, (i, f) in enumerate(top):    # f: also row i's column k
-            if i == n:
-                break
-            row = rows[i]
-            for j, y in top[p:]:
-                entry = row.get(j)
-                if entry is None:             # fill-in
-                    row[j] = (-f * y // prev, k + 1)
-                    continue
-                x, level = entry
-                if level < k:
-                    x = x * prev // piv[level]
-                row[j] = ((x * pivot - f * y) // prev, k + 1)
-    det = abs(piv[-1])
+    det, rows = _triangulate(sys, n)
     counts = [0] * n + [-det]     # counts[n] folds |D| c_k into the sum
     for k in range(n - 1, -1, -1):
         pivot, top = rows[k]
         counts[k] = -sum(y * counts[j] for j, y in top) // pivot
     return det, tuple(counts[:n])
+
+
+def _triangulate(sys: LaplacianSystem, n: int):
+    """|det A| and, per row k in sys.order, (U_kk, [(j, U_kj), ...]).
+
+    Fraction-free (Bareiss) elimination of the augmented matrix [A | b]
+    with no row swaps, pivoting in sys.order: a built A is symmetric,
+    diagonally dominant and nonsingular, so positive definite, and every
+    pivot (a principal minor) is positive.  Every entry of the partly
+    eliminated A is a minor, symmetric in its row and column because A
+    is, so a row stores only its columns on or right of the diagonal,
+    and column n.  Step k updates exactly the rows i > k with column k,
+    which by symmetry are the columns j < n of pivot row k, whose entry
+    at column i is row i's factor; no face order is assumed.  Row i
+    takes the pivot row, sorted by column, from column i on.
+
+    Parts.  Row k's parent is the first later row step k touches, the
+    least column of pivot row k below n; the rows form an elimination
+    tree, and step k touches only k's ancestors.  So the subtrees below
+    two children of a row share no row before it, and each is eliminated
+    with its own pivot chain, from 1 at a row with no children
+    (fraction-free LU per front: Lourenco et al., SIAM J. Matrix Anal.
+    Appl. 2019).  A row whose child is the row before it continues that
+    child's chain.  Any other child's part is set aside when its root is
+    done, with the rows it touched (its root's later columns), and
+    joined at the parent (_join).  A part that meets a row another part
+    has set aside starts that row again from A (_a_row).  Each root of
+    the tree, one per component of A, multiplies det by its pivot.
+
+    Each stored entry is (x, s), x over the scale s: 1 for A's own
+    entries, else the pivot of the step that last updated it or the
+    denominator of the join that made it.  An entry is brought up,
+    x * prev // s, only when a step touches it: when a pivot row's
+    update reaches it, or, for a row's remaining entries, once when that
+    row becomes the pivot row.  The skipped rescales telescope, so the
+    division is exact.  In build_system's order this costs 6 234 entry
+    updates, 1 355 bring-ups and 476 join products on 12 x 12, and
+    185 649, 22 531 and 5 616 on 32 x 32: the updates of one pivot
+    chain over all rows, on numbers that grow with a part's own
+    determinant, not with all the parts eliminated before it.
+    """
+    nbrs, bs = sys.neighbors, sys.b
+    rows = [None] * n             # row i: column -> (x, s); None: not built
+    waiting = {}                  # row -> [(rows, det)] of parts set aside
+    done = []                     # row k of U, final
+    det = prev = 1                # prev: the scale step k divides by
+    for k in range(n):
+        if waiting:
+            parts = waiting.pop(k, None)
+            if parts:
+                prev = _join(rows, prev, parts, sys, n)
+        row = rows[k] or _a_row(k, nbrs[k], bs[k], n)
+        rows[k] = None            # row k lives on as done[k]
+        top = sorted([(j, x if s is prev else x * prev // s)
+                      for j, (x, s) in row.items()])
+        pivot = top.pop(0)[1]     # column k, the row's first
+        if not pivot:
+            raise SingularSystemError("negative Laplacian is singular")
+        done.append((pivot, top))
+        for p, (i, f) in enumerate(top):    # f: also row i's column k
+            if i == n:
+                break
+            row = rows[i]
+            if row is None:
+                row = rows[i] = _a_row(i, nbrs[i], bs[i], n)
+            for j, y in top[p:]:
+                entry = row.get(j)
+                if entry is None:             # fill-in
+                    row[j] = (-f * y // prev, pivot)
+                    continue
+                x, s = entry
+                if s is not prev:
+                    x = x * prev // s
+                row[j] = ((x * pivot - f * y) // prev, pivot)
+        parent = top[0][0] if top else n
+        if parent == n:
+            det *= pivot
+        elif parent == k + 1:
+            prev = pivot
+            continue
+        else:
+            part = {}
+            for i, _ in top:
+                if i == n:
+                    break
+                part[i], rows[i] = rows[i], None
+            waiting.setdefault(parent, []).append((part, pivot))
+        prev = 1
+    return abs(det), done
+
+
+def _a_row(i: int, adj: tuple, b: int, n: int) -> dict:
+    """Row i of [A | b] from the diagonal on, each entry over scale 1."""
+    row = {i: (4, 1)}
+    for j in adj:                 # a loop: a comprehension is slower here
+        if j > i:
+            row[j] = (-1, 1)
+    if b:
+        row[n] = (b, 1)
+    return row
+
+
+def _join(rows: list, d: int, parts: list, sys: LaplacianSystem,
+          n: int) -> int:
+    """Join the parts set aside below a row into rows; return their
+    common denominator.
+
+    rows holds the part the row continues, over d, or no part's entries
+    if d is 1.  Each part set aside, its rows over its det e, joins over
+    D = d e.  Each side's Schur complement differs from A by its own
+    rows' terms alone, so an entry both sides hold becomes
+    (D / d) S + (D / e) S' - D a_ij, with S and S' brought up to d and
+    e; joined one part at a time, t parts that touched an entry give the
+    sum of their terms less (t - 1) D a_ij.  An entry only one side
+    holds keeps its scale, and a later touch brings it up.
+    """
+    for part, e in parts:
+        joint = e if d == 1 else d * e    # e itself: its entries stay current
+        for i, theirs in part.items():
+            mine = rows[i]
+            if mine is None:
+                rows[i] = theirs
+                continue
+            for j, entry in theirs.items():
+                have = mine.get(j)
+                if have is None:
+                    mine[j] = entry
+                    continue
+                (y, t), (x, s) = have, entry
+                a = (4 if j == i else sys.b[i] if j == n
+                     else -(j in sys.neighbors[i]))
+                mine[j] = ((y * e if t is d else y * joint // t)
+                           + (x * d if s is e else x * joint // s)
+                           - a * joint, joint)
+        d = joint
+    return d
 
 
 def _check_rows(sys: LaplacianSystem, n: int):
@@ -201,15 +285,17 @@ def _check_rows(sys: LaplacianSystem, n: int):
     if len(cols) != n or len(sys.b) != n:
         raise InvalidInputError("system has %d rows and %d b entries for "
                                 "%d faces" % (len(cols), len(sys.b), n))
-    for i, (adj, c) in enumerate(zip(sys.neighbors, cols)):
-        if not (len(c) == len(adj) <= 4 and i not in c
-                and all(type(j) is int and 0 <= j < n and i in cols[j]
-                        for j in adj)):
+    for i, (adj, c, b) in enumerate(zip(sys.neighbors, cols, sys.b)):
+        ok = len(c) == len(adj) <= 4 and i not in c
+        for j in adj:             # a loop: all() over a generator is slower
+            if not (ok and type(j) is int and 0 <= j < n and i in cols[j]):
+                ok = False
+                break
+        if not ok:
             raise InvalidInputError("row %d, neighbors %r, is not a row of "
                                     "a reduced dual Laplacian" % (i, adj))
-        if type(sys.b[i]) is not int or sys.b[i] not in (0, 1):
-            raise InvalidInputError("b[%d] = %r is not 0 or 1"
-                                    % (i, sys.b[i]))
+        if type(b) is not int or b not in (0, 1):
+            raise InvalidInputError("b[%d] = %r is not 0 or 1" % (i, b))
     if type(sys.d_star) is not int or sys.d_star < 0:
         raise InvalidInputError("d_star = %r is not a non-negative integer"
                                 % (sys.d_star,))

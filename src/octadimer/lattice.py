@@ -483,26 +483,26 @@ def build_region(region: Region) -> TemperleyTriple:
 
     g_vertices = h_vertices.union(faces, (f_star,), blacks)
 
-    # The two diagonal edges at f* with a flanking black outside G are
-    # the only boundary diagonals of G; e*1 = {f*, v*} must be one of
-    # them or the impurity cannot always be driven onto it.
-    boundary = []
-    for c in f_corners:
-        if c not in h_vertices:
-            continue
-        d = edge(f_star, c)
-        if any(b not in g_vertices for b in flanking_blacks(d)):
-            boundary.append(d)
-    if len(boundary) != 2:
-        raise InvalidFStarError(
-            "expected exactly 2 boundary diagonals at f*, got %d"
-            % len(boundary))
-    e_star1 = edge(f_star, v_star)
-    if e_star1 not in boundary:
+    # G's boundary diagonals, those with a flanking black outside G, are
+    # the two from f* to the ends of the path the l-edges form.  With l
+    # l-edges, adding f* as a face adds its other 4 - l sides, so the
+    # pinch check passes only if it adds 3 - l corners: the l-edges are
+    # one path of adjacent sides of f*, and f*'s corners in H are that
+    # path's l + 1 corners (two opposite l-edges, or a further corner in
+    # H, would break the count).  A side of f* that is not an l-edge is
+    # a side of no face, so its midpoint is not a black of G.  So a
+    # diagonal {f*, c}, c in H, has a flanking black outside G exactly
+    # when only one of c's two sides is an l-edge, when c ends the path,
+    # and a diagonal at a face has both its flanking blacks in G.
+    # e*1 = {f*, v*} must be a boundary diagonal or the impurity cannot
+    # always be driven onto it: v* at an inner corner of the path fails.
+    ends = [c for c in f_corners if sum([c in s for s in l_edges]) == 1]
+    if v_star not in ends:
         raise InvalidVStarError(
             "{f*, v*} is an interior diagonal; v* must sit on the "
             "boundary of G")
-    e_star2 = boundary[0] if boundary[1] == e_star1 else boundary[1]
+    e_star1 = edge(f_star, v_star)
+    e_star2 = edge(f_star, ends[1] if ends[0] == v_star else ends[0])
 
     g = _normal_graph(g_vertices)
 

@@ -392,22 +392,131 @@ def test_solution_faces_iterate_in_sorted_order(region):
     assert list(region_counts(tri)) == faces + [tri.f_star]
 
 
-def test_entries_untouched_across_pivots():
-    # row 4's column 5 is stored at level 0 and untouched through steps
-    # 0 to 2, then step 3 updates it, bringing it up by piv[3] / piv[0]
-    # first; step 0 updates row 4's column n (b) to level 1, and nothing
-    # touches it again until row 4 is the pivot row at step 4, which
-    # brings it up by piv[4] / piv[1]
-    order = tuple((2 * i + 1, 1) for i in range(6))
-    sys = LaplacianSystem(order=order,
-                          neighbors=((4,), (2,), (1,), (4, 5), (0, 3, 5),
-                                     (3, 4)),
-                          b=(1, 0, 1, 0, 1, 0), d_star=1)
+def hand_built(neighbors, b):
+    """A LaplacianSystem on faces (1, 1), (3, 1), ... with these rows."""
+    order = tuple((2 * i + 1, 1) for i in range(len(neighbors)))
+    return LaplacianSystem(order=order, neighbors=neighbors, b=b, d_star=1)
+
+
+def elimination_tree(sys):
+    """Each row's parent, the first later row its step touches (None at
+    a root), by a dense symbolic elimination sharing nothing with
+    eliminate."""
+    n = len(sys.order)
+    nonzero = [[j == i or j in adj for j in range(n)]
+               for i, adj in enumerate(sys.neighbors)]
+    parents = []
+    for k in range(n):
+        later = [j for j in range(k + 1, n) if nonzero[k][j]]
+        parents.append(later[0] if later else None)
+        for i in later:
+            for j in later:
+                nonzero[i][j] = True
+    return parents
+
+
+def children(parents, row):
+    return [k for k, p in enumerate(parents) if p == row]
+
+
+def assert_hand_built_solves(sys):
     det, counts = eliminate(sys)
     ref_det, ref_counts = reference_solve(sys)
     assert det == abs(ref_det) > 0
     assert list(counts) == ref_counts
     assert_solves(sys, det, counts)
+
+
+def test_entries_untouched_across_pivots():
+    # rows 1 and 2 form a component of their own, so the tree has two
+    # roots, 2 and 5.  Row 0's parent is 4, not the next row, so its
+    # part is set aside with row 4 after step 0, and step 3 starts row 4
+    # again from A.  Step 4 joins the two over 4 * 4: column 4 and
+    # column n (b), which both hold, are combined, and column 5, which
+    # only step 3 touched, keeps step 3's scale until row 4 is the pivot
+    # row, which brings it up.  Row 2's column n, which step 1 does not
+    # touch, is brought up when row 2 is the pivot row.
+    sys = hand_built(((4,), (2,), (1,), (4, 5), (0, 3, 5), (3, 4)),
+                     (1, 0, 1, 0, 1, 0))
+    assert elimination_tree(sys) == [4, 2, None, 4, 5, None]
+    assert_hand_built_solves(sys)
+
+
+def test_row_with_three_children():
+    # three two-row parts {0, 1}, {2, 3}, {4, 5}, each joined to both
+    # separator rows 6 and 7: row 6 has children 1, 3 and 5, and entries
+    # (6, 6), (6, 7), (7, 7) and (7, n) are touched by all three parts;
+    # b marks a row of two of them and row 7
+    sys = hand_built(((1, 7), (0, 6), (3, 7), (2, 6), (5, 7), (4, 6),
+                      (1, 3, 5, 7), (0, 2, 4, 6)),
+                     (1, 0, 0, 0, 1, 0, 0, 1))
+    parents = elimination_tree(sys)
+    assert children(parents, 6) == [1, 3, 5] and parents[6] == 7
+    assert_hand_built_solves(sys)
+
+
+def test_children_join_a_separator_chain_at_different_rows():
+    # the separator 4 - 5 - 6 is a path; part {0, 1} meets it at row 4
+    # only, part {2, 3} at rows 5 and 6, so row 4's one child is set
+    # aside (row 3 before it is not its child) and row 5 joins part
+    # {2, 3} with the chain carried from row 4; b marks rows of both
+    sys = hand_built(((1,), (0, 4), (3, 5), (2, 6), (1, 5), (2, 4, 6),
+                      (3, 5)),
+                     (1, 0, 0, 1, 0, 0, 1))
+    parents = elimination_tree(sys)
+    assert parents == [1, 4, 3, 5, 5, 6, None]
+    assert children(parents, 4) == [1] and children(parents, 5) == [3, 4]
+    assert_hand_built_solves(sys)
+
+
+@pytest.mark.parametrize("order", ["blocks", "interleaved"])
+def test_part_with_two_components(order):
+    # two components, a path 0 - 2 - 4 and a triangle of rows 1, 3, 5
+    # with a tail 7 - 6, both meeting separator row 8 ("blocks" puts each
+    # component's rows together first); without row 8 the tree would be
+    # a forest, and with it each component is a child of row 8
+    sys = hand_built(((2,), (3, 5), (0, 4), (1, 5), (2, 8), (1, 3, 7),
+                      (7, 8), (5, 6), (4, 6)),
+                     (1, 0, 0, 1, 0, 0, 1, 0, 1))
+    if order == "blocks":
+        sys = permuted(sys, [sys.order[i] for i in (0, 2, 4, 1, 3, 5, 7, 6,
+                                                    8)])
+    parents = elimination_tree(sys)
+    assert len(children(parents, len(parents) - 1)) == 2
+    assert parents.count(None) == 1
+    assert_hand_built_solves(sys)
+
+
+def test_forest_of_components():
+    # two components with no row in common, their rows interleaved: the
+    # tree has two roots, and det A is the product of their pivots
+    sys = hand_built(((2,), (3,), (0, 4), (1,), (2,)), (0, 1, 0, 0, 1))
+    assert elimination_tree(sys).count(None) == 2
+    det, _ = eliminate(sys)
+    assert det == 56 * 15
+    assert_hand_built_solves(sys)
+
+
+def test_child_with_b_entries_joins_column_n():
+    # parts {0, 1} and {2, 3} both carry b, so each updates column n of
+    # separator rows 4 and 5, which the join combines; row 4 has no b of
+    # its own (a_4n = 0) and row 5 has (a_5n = 1)
+    sys = hand_built(((1, 4), (0, 5), (3, 4), (2, 5), (0, 2, 5),
+                      (1, 3, 4)),
+                     (1, 1, 0, 1, 0, 1))
+    parents = elimination_tree(sys)
+    assert children(parents, 4) == [1, 3]
+    assert_hand_built_solves(sys)
+
+
+def test_entry_only_a_set_aside_part_holds_keeps_its_scale():
+    # row 1's part is set aside with row 3, whose column n it fills in
+    # from b_1; row 2 continues into row 3 from A, where a_3n = 0.  The
+    # join keeps that column n over row 1's pivot, and row 3 as pivot
+    # row brings it up to the joint denominator 4 * 4
+    sys = hand_built(((), (3,), (3,), (1, 2)), (0, 1, 0, 0))
+    assert elimination_tree(sys) == [None, 3, 3, None]
+    assert_hand_built_solves(sys)
 
 
 def permuted(sys, order):
@@ -486,7 +595,7 @@ def test_square_det_by_hand():
         4, 2 * 4 * 4 * 6, (16 - 8) * (16 - 2) ** 2 * 4 ** 3]
 
 
-@pytest.mark.parametrize("k", [4, 8, 12, 16, 24])
+@pytest.mark.parametrize("k", [4, 8, 12, 16, 24, 32])
 def test_elimination_det_matches_square_det(k):
     # det P_k(4I - T) from the path recurrence and a dense elimination,
     # sharing nothing with eliminate; bench/ladder.py checks every

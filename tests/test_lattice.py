@@ -232,6 +232,20 @@ def reference_build_region(region):
                            e_star1, e_star2)
 
 
+def assert_boundary_diagonals_end_the_l_edge_path(tri):
+    """G's boundary diagonals, those with a flanking black outside G,
+    are {e*1, e*2}: f* to the two ends of the path of l-edges."""
+    f_star = tri.h_perp.f_star
+    sides = tri.h_perp.l_edges
+    path = {c for side in sides for c in side}
+    ends = [c for c in _corners(f_star) if sum(c in s for s in sides) == 1]
+    assert len(ends) == 2 and len(path) == len(sides) + 1
+    boundary = {d for d in tri.g.diagonals
+                if any(b not in tri.g.vertex_set for b in flanking_blacks(d))}
+    assert boundary == {edge(f_star, c) for c in ends} == {tri.e_star1,
+                                                            tri.e_star2}
+
+
 def assert_same_construction(region):
     """build_region and reference_build_region give equal triples, or
     raise the same exception class with the same message."""
@@ -252,6 +266,7 @@ def assert_same_construction(region):
     assert hp.dual_edges == want_hp.dual_edges
     assert hp.l_edges == want_hp.l_edges and hp.d_star == want_hp.d_star
     assert (tri.e_star1, tri.e_star2) == (want.e_star1, want.e_star2)
+    assert_boundary_diagonals_end_the_l_edge_path(tri)
     g, want_g = tri.g, want.g
     assert g.vertices == want_g.vertices
     assert g.vertex_set == want_g.vertex_set
@@ -490,8 +505,9 @@ def test_v_star_validation():
 
 def test_strip_v_star_choices():
     # the two legal v* for strip n=1 are the corners shared with the face
-    build_region(Region.of([(1, 1)], (3, 1), (2, 2)))
-    build_region(Region.of([(1, 1)], (3, 1), (2, 0)))
+    for v_star in ((2, 2), (2, 0)):
+        tri = build_region(Region.of([(1, 1)], (3, 1), v_star))
+        assert_boundary_diagonals_end_the_l_edge_path(tri)
 
 
 def test_per_graph_builds_once_per_graph_object():
