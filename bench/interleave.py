@@ -11,9 +11,13 @@ round to round: lattice.build_region, kirchhoff.eliminate on the
 region's system, the `exact` workload's count op (build_region,
 build_system, tree_count and total_coverings), cli._json_text on the
 region's `prob` answer, and the whole `prob` command in process,
-stdout captured.  Each time is the median of N rounds (default 41).
-Both sides must give the same det A and counts and print the same
-`prob` bytes, and each writer must give back those bytes from the
+stdout captured.  On the squares it also times sampler.run from
+temperley.initial_covering, 100 000 steps at seed 1 after a burn-in
+of 1000, unthinned (`run`) and sampled every 100th step
+(`run_thinned`).  Each time is the median of N rounds (default 41).
+Both sides must give the same det A and counts, print the same `prob`
+bytes and end each chain run with the same dimers, accepted count and
+impurity counts, and each writer must give back those bytes from the
 parsed answer; the exit status is 1 if not.
 
 Timing both sides in one process, interleaved, keeps them on one
@@ -35,6 +39,9 @@ import statistics
 import sys
 import tempfile
 import time
+
+CHAIN_STEPS = 100_000
+CHAIN_BURN_IN = 1000
 
 
 def load(name, src):
@@ -104,6 +111,10 @@ def main(argv=None):
                 for s in sides]
     kirchhoffs = [importlib.import_module(s.__name__ + ".kirchhoff")
                   for s in sides]
+    samplers = [importlib.import_module(s.__name__ + ".sampler")
+                for s in sides]
+    temperleys = [importlib.import_module(s.__name__ + ".temperley")
+                  for s in sides]
     after = lattices[1]
     regions = ([("strip%d" % n, after.strip_region(n)) for n in range(1, 9)]
                + [("ell", after.ell_region())]
@@ -131,20 +142,35 @@ def main(argv=None):
             solved = [kir.eliminate(system)
                       for kir, system in zip(kirchhoffs, systems)]
             ok &= solved[0] == solved[1]
+            layers = [
+                ("build_region", [lambda lat=lat, r=r: lat.build_region(r)
+                                  for lat, r in zip(lattices, own)]),
+                ("eliminate", [
+                    lambda kir=kir, system=system: kir.eliminate(system)
+                    for kir, system in zip(kirchhoffs, systems)]),
+                ("count", [lambda lat=lat, kir=kir, r=r: count(lat, kir, r)
+                           for lat, kir, r in zip(lattices, kirchhoffs,
+                                                  own)]),
+                ("emit", [lambda cli=cli: cli._json_text(obj)
+                          for cli in clis]),
+                ("prob", [lambda cli=cli: prob(cli, path) for cli in clis])]
+            if name.startswith("square"):
+                starts = [tem.initial_covering(lat.build_region(r))
+                          for tem, lat, r in zip(temperleys, lattices, own)]
+                for layer, every in (("run", 1), ("run_thinned", 100)):
+                    cfgs = [smp.ChainConfig(seed=1, steps=CHAIN_STEPS,
+                                            burn_in=CHAIN_BURN_IN,
+                                            sample_every=every)
+                            for smp in samplers]
+                    fns = [lambda smp=smp, m0=m0, cfg=cfg: smp.run(m0, cfg)
+                           for smp, m0, cfg in zip(samplers, starts, cfgs)]
+                    reports = [fn() for fn in fns]
+                    ok &= len({(rep.final.dimers, rep.accepted,
+                                tuple(sorted(rep.impurity_counts.items())))
+                               for rep in reports}) == 1
+                    layers.append((layer, fns))
             record = {"name": name}
-            for layer, fns in (
-                    ("build_region", [lambda lat=lat, r=r: lat.build_region(r)
-                                      for lat, r in zip(lattices, own)]),
-                    ("eliminate", [
-                        lambda kir=kir, system=system: kir.eliminate(system)
-                        for kir, system in zip(kirchhoffs, systems)]),
-                    ("count", [lambda lat=lat, kir=kir, r=r: count(lat, kir, r)
-                               for lat, kir, r in zip(lattices, kirchhoffs,
-                                                      own)]),
-                    ("emit", [lambda cli=cli: cli._json_text(obj)
-                              for cli in clis]),
-                    ("prob", [lambda cli=cli: prob(cli, path)
-                              for cli in clis])):
+            for layer, fns in layers:
                 before, after = interleaved(fns, args.rounds)
                 record[layer] = {"before_s": before, "after_s": after,
                                  "ratio": after / before}

@@ -17,7 +17,9 @@ site sequence equals that of one `randrange(len(sites))` per step,
 which is what `step` calls: for n < 2**32, `randrange(n)` takes the
 top k = n.bit_length() bits of one generator word and draws again
 while the value is >= n, and `getrandbits(32 * B)` is the next B
-words, the first one lowest.
+words, the first one lowest.  So one shift of the block's integer by
+32 - k and one AND with k low bits set in every word leave each
+word's draw in its own 32-bit slot, read back as an array.
 
 Both draw from `moves.site_table(g).sites`, the one proposal list,
 which numbers the graph's vertices in sorted order and states each site
@@ -56,6 +58,10 @@ class ChainConfig:
                                             self.burn_in, self.sample_every)):
             raise InvalidInputError(
                 "seed, steps, burn_in and sample_every must be integers")
+        # random.Random(-s) seeds from |s|, so a negative seed would run
+        # the chain of its absolute value under another name
+        if self.seed < 0:
+            raise InvalidInputError("seed must be nonnegative")
         if self.steps < 0 or self.burn_in < 0:
             raise InvalidInputError("steps and burn_in must be nonnegative")
         if self.sample_every < 1:
@@ -108,17 +114,25 @@ def _site_blocks(sites, rng):
     """Yield lists of sites whose concatenation is the sequence
     sites[rng.randrange(len(sites))], ... for len(sites) < 2**32.
 
-    Nothing is yielded for an empty site list."""
+    Each block is one integer of BLOCK_WORDS generator words, word i in
+    bits [32i, 32i + 32).  Shifting it right by 32 - k moves word i's
+    top k bits to the bottom of its slot and the rest of the word into
+    the slot below, and `mask`, k low bits set in every slot, clears
+    what moved down, so the slots read as an array are the draws; only
+    the test against n is left per word.  Nothing is yielded for an
+    empty site list."""
     n = len(sites)
     if not n:
         return
-    shift = 32 - n.bit_length()
+    k = n.bit_length()
+    mask = int.from_bytes(((1 << k) - 1).to_bytes(4, "little")
+                          * BLOCK_WORDS, "little")
     while True:
-        words = array("I", rng.getrandbits(32 * BLOCK_WORDS)
-                      .to_bytes(4 * BLOCK_WORDS, "little"))
+        words = array("I", ((rng.getrandbits(32 * BLOCK_WORDS) >> (32 - k))
+                            & mask).to_bytes(4 * BLOCK_WORDS, "little"))
         if sys.byteorder == "big":
             words.byteswap()
-        yield [sites[x] for x in [w >> shift for w in words] if x < n]
+        yield [sites[x] for x in words if x < n]
 
 
 def run(m0: DimerCovering, cfg: ChainConfig,

@@ -484,6 +484,16 @@ def test_invalid_chain_flags_exit_2(capsys, strip_file, flags):
     assert obj["error"] == "InvalidInputError"
 
 
+def test_negative_seed_exits_2(capsys, strip_file):
+    # random.Random(-4) seeds as random.Random(4), so --seed -4 would run
+    # seed 4's chain and report -4
+    code, obj = run_cli_fail(capsys, "sample", strip_file, "--seed", "-4",
+                             "--steps", "5")
+    assert code == 2
+    assert obj == {"error": "InvalidInputError",
+                   "message": "seed must be nonnegative"}
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "{}", "--seed", "1", "--steps", "abc"),
     ("sample", "{}", "--seed", "1"),

@@ -42,6 +42,13 @@ def test_config_validation():
     for seed in ([1], 1.5, "1", None, True):
         with pytest.raises(InvalidInputError):
             ChainConfig(seed=seed, steps=10)
+    # random.Random(-4) is random.Random(4): a negative seed would run
+    # another seed's chain under its own name
+    assert random.Random(-4).getstate() == random.Random(4).getstate()
+    for seed in (-1, -4, -2 ** 40):
+        with pytest.raises(InvalidInputError):
+            ChainConfig(seed=seed, steps=10)
+    assert ChainConfig(seed=0, steps=10).seed == 0
 
 
 def test_proposal_sites(ell):
@@ -293,11 +300,14 @@ def test_run_keeps_no_vertex_site_list():
     assert proposal_sites(tri.g) is not proposal_sites(tri.g)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 179, 257, 739, 1025, 1683, 3011,
-                               6819, 2 ** 20 + 1, 2 ** 31 + 1, 2 ** 32 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 179, 256, 257, 739, 1025, 1683,
+                               3011, 6819, 2 ** 16 - 1, 2 ** 16, 2 ** 20 + 1,
+                               2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1])
 def test_block_draws_equal_randrange(n):
     # 257 and 1025 sit just above a power of two, where nearly half the
-    # words are drawn again; the draws span several blocks
+    # words are drawn again; the draws span several blocks.  The mask's
+    # width k = n.bit_length() steps up at 256, 2**16 - 1 -> 2**16 and
+    # 2**31, where k = 32 and the block is not shifted at all
     count = 3 * BLOCK_WORDS
     for seed in (0, 1, 2024):
         blocks = _site_blocks(range(n), random.Random(seed))
